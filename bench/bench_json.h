@@ -23,6 +23,23 @@ inline bool wants_json(int argc, char** argv) {
   return false;
 }
 
+/// A memory figure of this process from /proc/self/status, e.g. "VmRSS:"
+/// (resident now) or "VmHWM:" (peak resident), in MB; 0 where unavailable.
+inline double proc_status_mb(std::string_view field) {
+  std::FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  double mb = 0;
+  while (std::fgets(line, sizeof line, f) != nullptr) {
+    if (!std::string_view(line).starts_with(field)) continue;
+    long kb = 0;
+    if (std::sscanf(line + field.size(), "%ld", &kb) == 1) mb = static_cast<double>(kb) / 1024.0;
+    break;
+  }
+  std::fclose(f);
+  return mb;
+}
+
 /// Collects named metrics and prints them as one JSON object. In text mode
 /// callers keep their existing printf reporting and simply skip print().
 class Emitter {

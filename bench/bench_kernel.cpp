@@ -28,7 +28,10 @@
 //         Network::enable_parallel as an end-to-end cross-check: its
 //         simulated goodput must match the serial run bit for bit.
 //
-// `--json` emits the machine-readable form recorded in BENCH_kernel.json.
+// `--json` emits the machine-readable form recorded in BENCH_kernel.json,
+// including the process's peak RSS once both FIT runs are done
+// (`fit_redirect_peak_rss_mb`): the kernel's queues must stay bounded by the
+// events in flight, not by the events dispatched.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -348,6 +351,7 @@ int main(int argc, char** argv) {
   // wall-clock throughput shows what the barrier overhead costs end to end.
   const FitResult fit_par = run_fit(/*threads=*/2);
   const bool fit_bytes_match = fit_par.delivered_bytes == fit.delivered_bytes;
+  const double fit_peak_rss = benchjson::proc_status_mb("VmHWM:");
 
   const unsigned hw = std::thread::hardware_concurrency();
 
@@ -359,6 +363,7 @@ int main(int argc, char** argv) {
     out.metric("fit_redirect_packets_per_sec", fit.packets_per_sec_wall, "packets/s");
     out.metric("fit_redirect_events_per_sec", fit.events_per_sec_wall, "events/s");
     out.metric("fit_redirect_goodput", fit.goodput_bps, "bps");
+    out.metric("fit_redirect_peak_rss_mb", fit_peak_rss, "MB");
     out.metric("hardware_concurrency", hw, "threads");
     out.metric("parallel_drain_serial", island_serial_eps, "events/s");
     for (std::size_t i = 0; i < sweep.size(); ++i) {
@@ -390,6 +395,7 @@ int main(int argc, char** argv) {
     std::printf("%-34s %12.0f packets/s wall\n", "FIT redirect end-to-end", fit.packets_per_sec_wall);
     std::printf("%-34s %12.0f events/s wall\n", "FIT redirect kernel rate", fit.events_per_sec_wall);
     std::printf("%-34s %15s\n", "FIT redirect goodput", format_rate_bps(fit.goodput_bps).c_str());
+    std::printf("%-34s %12.1f MB\n", "peak RSS after FIT redirect", fit_peak_rss);
     std::printf("--- parallel kernel (16 islands, %u hw threads) ---\n", hw);
     std::printf("%-34s %12.0f events/s  (%llu dispatched)\n", "sharded drain (serial baseline)",
                 island_serial_eps, static_cast<unsigned long long>(island_serial_dispatched));

@@ -297,6 +297,46 @@ void BM_EventQueueDrainZeroCopy(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueDrainZeroCopy)->Unit(benchmark::kMillisecond)->Iterations(3);
 
+// M8b: the FIT data-plane queue shape (DESIGN.md §5). A handful of far
+// timers (>= 1 s) plus ~40 in-flight packet events that each re-spawn
+// 0-10 us ahead: with fewer than kWidthSample events pending, the far
+// timers set a coarse bucket width and nearly every push goes through the
+// sorted run. Reports time per dispatched event and the run's retained
+// capacity, which must track the ~44 pending events, not the dispatch count.
+void BM_EventQueueFarTimerChain(benchmark::State& state) {
+  constexpr std::uint64_t kEvents = 250'000;
+  constexpr std::uint64_t kChains = 40;
+  constexpr SimTime kMaxDelay = 10 * kMicrosecond;
+  std::size_t capacity = 0;
+  for (auto _ : state) {
+    sim::EventQueue queue;
+    std::uint64_t dispatched = 0;
+    for (int i = 1; i <= 4; ++i) queue.push(i * kSecond, [] {});
+    std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+    auto next_delay = [&rng]() {
+      rng ^= rng << 13;
+      rng ^= rng >> 7;
+      rng ^= rng << 17;
+      return static_cast<SimTime>(rng % (kMaxDelay + 1));
+    };
+    for (std::uint64_t i = 0; i < kChains; ++i) {
+      queue.push(next_delay(), [&dispatched] { ++dispatched; });
+    }
+    while (dispatched < kEvents) {
+      sim::Event e = queue.pop();
+      e.action();
+      queue.push(e.time + next_delay(), [&dispatched] { ++dispatched; });
+    }
+    capacity = queue.run_capacity();
+    benchmark::DoNotOptimize(dispatched);
+  }
+  state.counters["time_per_event"] = benchmark::Counter(
+      static_cast<double>(kEvents),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.counters["run_capacity"] = static_cast<double>(capacity);
+}
+BENCHMARK(BM_EventQueueFarTimerChain)->Unit(benchmark::kMillisecond);
+
 // M9: fuzzy digest over a shared payload (DESIGN.md §11). Two asserted
 // properties ride along with the timing: the digest of a shared payload is
 // computed at most once per allocation no matter how many packets (or SE

@@ -14,7 +14,11 @@ namespace {
 /// *nearest the head* — sizing from the global span is the classic calendar
 /// failure mode: one far-future timer (e.g. a 1 s duration guard) inflates
 /// the span, the width balloons, every near event maps to the cursor's day
-/// and the queue degenerates into an O(n)-per-push insertion-sorted vector.
+/// and the queue degenerates into an insertion-sorted run. The head sample
+/// only protects a population larger than kWidthSample; a smaller one is
+/// sampled whole, far timers included, and does degenerate. That costs a
+/// binary search and a move of at most half the pending events per push,
+/// since the run stays bounded (see insert_into_run).
 std::uint32_t shift_for_span(SimTime span, std::size_t pending, std::uint64_t num_buckets) {
   const std::uint64_t divisor =
       std::max<std::uint64_t>(1, std::min<std::uint64_t>(pending, num_buckets));
@@ -61,9 +65,11 @@ void EventQueue::rebuild() {
 
   // Size buckets from the density at the head of the queue, where the window
   // lives — not from the global span (see shift_for_span). Far events simply
-  // sit in the overflow until a later rebuild reaches them. An O(n) select
-  // of the kWidthSample-th smallest time gives the head span without sorting
-  // the (64-byte) events themselves.
+  // sit in the overflow until a later rebuild reaches them, unless fewer than
+  // kWidthSample events are pending: then the sample is the whole population
+  // and far timers do set the width. An O(n) select of the kWidthSample-th
+  // smallest time gives the head span without sorting the (64-byte) events
+  // themselves.
   time_scratch_.clear();
   time_scratch_.reserve(scratch_.size());
   SimTime tmin = scratch_.front().time;

@@ -41,8 +41,9 @@ struct Event {
 /// bucket holds events of a single timestamp already in seq order, so the
 /// splice needs no comparison sort. Events pushed at or before the cursor's
 /// day (zero-delay self-reschedules) insert into the pending part of the run
-/// by binary search. When the near tier drains, the window is rebuilt around
-/// the overflow with a width recomputed from the density at its head; a
+/// by binary search, reusing dispatched slots in front of the cursor. When
+/// the near tier drains, the window is rebuilt around the overflow with a
+/// width recomputed from the density at its head; a
 /// doubled population, an oversized pending run, or a bucket that collected
 /// a large burst likewise force a finer-width rebuild. Dispatch
 /// order is bit-identical to a (time, seq) min-heap — the property test
@@ -113,6 +114,10 @@ class EventQueue {
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
 
+  /// Events the sorted run has room for (dispatched prefix included). Stays
+  /// within a small multiple of the peak pending count; regression-tested.
+  std::size_t run_capacity() const { return cur_.capacity(); }
+
   /// Time of the earliest pending event. Precondition: !empty().
   SimTime next_time() const {
     assert(pos_ < cur_.size());
@@ -162,17 +167,35 @@ class EventQueue {
   }
 
   /// Opens a slot for (time, seq) at its sorted position in the pending part
-  /// of the run, [pos_, cur_.size()). The dispatched prefix [0, pos_) is
-  /// never touched, so the cursor stays valid.
+  /// of the run, [pos_, cur_.size()), moving whichever side of that position
+  /// holds fewer pending events. The left side shifts into the dispatched
+  /// slot in front of the cursor, which steps back; the right side shifts up
+  /// into a new slot at the end. Before the run grows that way, a dispatched
+  /// prefix longer than the pending part is dropped (paid for by the pops
+  /// that built it), so the run stays within about twice the peak pending
+  /// count. A run that never drains (a width too coarse for the cursor's day
+  /// ever to empty) would otherwise keep one dead slot per dispatched event.
   Event* insert_into_run(SimTime time, std::uint64_t seq) {
-    const auto it = std::upper_bound(
-        cur_.begin() + static_cast<std::ptrdiff_t>(pos_), cur_.end(),
-        std::pair<SimTime, std::uint64_t>(time, seq),
+    const auto first = cur_.begin() + static_cast<std::ptrdiff_t>(pos_);
+    auto it = std::upper_bound(
+        first, cur_.end(), std::pair<SimTime, std::uint64_t>(time, seq),
         [](const std::pair<SimTime, std::uint64_t>& v, const Event& e) {
           if (v.first != e.time) return v.first < e.time;
           return v.second < e.seq;
         });
-    Event* slot = &*cur_.insert(it, Event{});
+    Event* slot;
+    if (pos_ > 0 && it - first <= cur_.end() - it) {
+      slot = &*std::move(first, it, first - 1);
+      --pos_;
+    } else {
+      if (pos_ > cur_.size() - pos_) {
+        const std::ptrdiff_t offset = it - first;
+        cur_.erase(cur_.begin(), first);
+        pos_ = 0;
+        it = cur_.begin() + offset;
+      }
+      slot = &*cur_.insert(it, Event{});
+    }
     slot->time = time;
     slot->seq = seq;
     return slot;
@@ -252,10 +275,11 @@ class EventQueue {
   /// Collects every pending event and redistributes it into a fresh window
   /// whose bucket width is derived from the mean gap of the kWidthSample
   /// earliest events (head density, not global span — a lone far-future
-  /// timer must not widen the buckets).
+  /// timer must not widen the buckets of a larger population; a population
+  /// below kWidthSample is sampled whole, see shift_for_span).
   void rebuild();
 
-  std::vector<Event> cur_;                  // sorted run; [0, pos_) dispatched
+  std::vector<Event> cur_;                  // sorted run; [0, pos_) dispatched, reused
   std::size_t pos_ = 0;                     // cursor into cur_
   std::vector<Bucket> buckets_{kBuckets};   // near tier, unsorted
   std::vector<Event> overflow_;             // far tier, unsorted

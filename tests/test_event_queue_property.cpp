@@ -7,7 +7,8 @@
 // binary heap. This test drives both queues through the same randomized
 // scripts of push / pop / run_until operations — including same-time ties,
 // zero-delay self-rescheduling callbacks, far-future times that land in the
-// overflow tier, and same-time bursts that trigger a finer-width rebuild —
+// overflow tier, same-time bursts that trigger a finer-width rebuild, and
+// chain traffic under far timers that keeps inserting into the sorted run —
 // and requires the dispatch logs to match element for element.
 #include <gtest/gtest.h>
 
@@ -49,6 +50,18 @@ class Driver {
     });
   }
 
+  /// A self-perpetuating chain: every dispatch re-spawns the chain 0-10 us
+  /// ahead (the delay derives from id and hop, so both queues see the same
+  /// schedule) until `hops` run out.
+  void chain(SimTime t, std::uint32_t id, std::uint32_t hops) {
+    queue_.push(t, [this, id, hops] {
+      log_.back().id = id;
+      if (hops == 0) return;
+      const std::uint64_t h = ((std::uint64_t{id} << 32) | hops) * 0x9E3779B97F4A7C15ull;
+      chain(now_ + static_cast<SimTime>((h >> 40) % 10'001), id, hops - 1);
+    });
+  }
+
   bool pop_one() {
     if (queue_.empty()) return false;
     auto e = queue_.pop();
@@ -79,10 +92,10 @@ class Driver {
 
 /// One scripted operation, generated once and applied to both queues.
 struct Op {
-  enum Kind { kPush, kPop, kRunUntil } kind = kPush;
-  SimTime time_arg = 0;          // push: offset from now; run_until: delta
-  std::uint32_t id = 0;          // push only
-  std::uint32_t children = 0;    // push only
+  enum Kind { kPush, kPop, kRunUntil, kChain } kind = kPush;
+  SimTime time_arg = 0;          // push/chain: offset from now; run_until: delta
+  std::uint32_t id = 0;          // push/chain
+  std::uint32_t children = 0;    // push: children; chain: hops
   SimTime child_delay = 0;       // push only
 };
 
@@ -97,6 +110,9 @@ std::vector<Dispatch> apply_script(const std::vector<Op>& script) {
         driver.spawn(t, op.id, op.children, op.child_delay);
         break;
       }
+      case Op::kChain:
+        driver.chain(driver.now() + op.time_arg, op.id, op.children);
+        break;
       case Op::kPop:
         driver.pop_one();
         break;
@@ -215,6 +231,22 @@ TEST(EventQueuePropertyTest, PastPushesDuringDrainMatchReferenceHeap) {
     script.push_back(Op{Op::kPush, -900, static_cast<std::uint32_t>(200 + i), 1, 0});
   }
   expect_identical(script, "past pushes");
+}
+
+TEST(EventQueuePropertyTest, FarTimersWithChainTrafficMatchReferenceHeap) {
+  // The FIT data-plane shape: a few far timers (>= 1 s) plus 40 in-flight
+  // chains re-spawning 0-10 us ahead, 200k dispatches. With fewer than
+  // kWidthSample events pending the far timers set a coarse width, so nearly
+  // every push inserts into the sorted run while its dispatched prefix is
+  // reused in place.
+  std::vector<Op> script;
+  for (int i = 1; i <= 4; ++i) {
+    script.push_back(Op{Op::kPush, i * kSecond, static_cast<std::uint32_t>(i), 0, 0});
+  }
+  for (int i = 0; i < 40; ++i) {
+    script.push_back(Op{Op::kChain, i * 250, static_cast<std::uint32_t>(100 + i), 5000, 0});
+  }
+  expect_identical(script, "far timers with chain traffic");
 }
 
 }  // namespace

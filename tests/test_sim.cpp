@@ -1,6 +1,7 @@
 // Unit tests for the discrete-event kernel and the Node/Port/Link substrate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "packet/packet.h"
@@ -20,6 +21,31 @@ TEST(EventQueue, OrdersByTimeThenSequence) {
   q.push(1, [&] { order.push_back(4); });
   while (!q.empty()) q.pop().action();
   EXPECT_EQ(order, (std::vector<int>{4, 2, 1, 3}));
+}
+
+TEST(EventQueue, SortedRunStaysBoundedUnderFarTimers) {
+  // The FIT data-plane shape: far timers (>= 1 s) set a coarse bucket width
+  // while 40 in-flight events re-spawn 0-10 us ahead, so nearly every push
+  // inserts into the sorted run and the run never drains. Its retained
+  // capacity must track the pending count, not the dispatch count.
+  EventQueue q;
+  for (int i = 1; i <= 4; ++i) q.push(i * kSecond, [] {});
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  auto next_delay = [&rng] {
+    rng ^= rng << 13;
+    rng ^= rng >> 7;
+    rng ^= rng << 17;
+    return static_cast<SimTime>(rng % (10 * kMicrosecond + 1));
+  };
+  for (int i = 0; i < 40; ++i) q.push(next_delay(), [] {});
+  std::size_t peak_pending = q.size();
+  for (int i = 0; i < 200'000; ++i) {
+    const Event e = q.pop();
+    ASSERT_LT(e.time, kSecond);
+    q.push(e.time + next_delay(), [] {});
+    peak_pending = std::max(peak_pending, q.size());
+  }
+  EXPECT_LE(q.run_capacity(), 4 * peak_pending);
 }
 
 TEST(Simulator, ClockAdvancesWithEvents) {
