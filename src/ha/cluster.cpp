@@ -348,14 +348,23 @@ void HaCluster::resync_tick() {
     }
     catch_up(node, true);
   }
+  // Drop what every live standby has applied (an importing one still needs
+  // the tail past its snapshot). Never passing a standby's position, this
+  // strands none into an import; only snapshot_tick, the lag cap, does.
+  std::uint64_t horizon = log_.head_seq();
+  for (const Node& node : nodes_) {
+    if (node.role != Role::kStandby) continue;
+    horizon = std::min(horizon, node.importing ? node.import_through : node.applied_seq);
+  }
+  log_.truncate(horizon);
   if (started_) sim_->schedule(config_.resync_interval, [this] { resync_tick(); });
 }
 
 void HaCluster::snapshot_tick() {
   if (nodes_[active_].role == Role::kActive) {
     if (config_.pipeline) {
-      // The folded store IS the snapshot; the tick only advances the
-      // truncation horizon — O(1), never a full-state export.
+      // The folded store IS the snapshot; the tick only applies the lag cap
+      // (truncate to the head), never a full-state export.
       snapshot_through_ = log_.head_seq();
       log_.truncate(snapshot_through_);
     } else {
@@ -462,7 +471,8 @@ std::string HaCluster::status_json() const {
         << ",\"epoch\":" << nodes_[i].controller->epoch() << "}";
   }
   out << "],\"log\":{\"head\":" << log_.head_seq() << ",\"base\":" << log_.base_seq()
-      << ",\"size\":" << log_.size() << "}"
+      << ",\"size\":" << log_.size() << ",\"truncated_through\":" << log_.truncated_through()
+      << "}"
       << ",\"snapshot_through\":" << snapshot_through_
       << ",\"records_published\":" << stats_.records_published
       << ",\"records_dropped\":" << stats_.records_dropped
@@ -493,7 +503,8 @@ std::string HaCluster::status_text() const {
         << (nodes_[i].importing ? " (importing)" : "") << "\n";
   }
   out << "  log: head=" << log_.head_seq() << " base=" << log_.base_seq()
-      << " size=" << log_.size() << " snapshot_through=" << snapshot_through_ << "\n"
+      << " size=" << log_.size() << " truncated_through=" << log_.truncated_through()
+      << " snapshot_through=" << snapshot_through_ << "\n"
       << "  records: published=" << stats_.records_published
       << " coalesced=" << stats_.records_coalesced
       << " dropped=" << stats_.records_dropped << " delayed=" << stats_.records_delayed

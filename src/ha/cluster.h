@@ -59,9 +59,11 @@ class HaCluster : public ReplicationSink {
     std::uint32_t heartbeat_miss_threshold = 3;
     /// One-way latency of a replication record delivery.
     SimTime replication_latency = 200 * kMicrosecond;
-    /// Snapshot + log-truncation period (0 = never truncate).
+    /// Lag cap: every period the log truncates to its head, stranding any
+    /// standby still behind into a snapshot import (0 = no cap).
     SimTime snapshot_interval = 5 * kSecond;
-    /// How often standbys check for (and repair) sequence gaps.
+    /// How often standbys check for (and repair) sequence gaps; each tick
+    /// then truncates the log to the slowest live standby's position.
     SimTime resync_interval = 100 * kMillisecond;
     /// Delay between switch re-handshake and the post-failover audit — long
     /// enough for every reconnect's FeaturesReply to land.

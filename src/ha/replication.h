@@ -10,10 +10,12 @@
 // Design:
 //  - Every state mutation on the active is one `RecordBody`, serialized with
 //    a format version + monotonically increasing sequence number.
-//  - `ReplicationLog` retains encoded records for retransmission; a periodic
-//    snapshot (the full state re-expressed *as records*) allows truncation.
-//    Snapshot import is therefore just "apply each contained record", so the
-//    bootstrap path and the incremental path share one code path.
+//  - `ReplicationLog` retains decoded `RecordBody`s for retransmission, only
+//    back to the slowest standby's applied position; a snapshot (the full
+//    state re-expressed *as records*) bootstraps a standby that fell behind
+//    the truncation point. Snapshot import is therefore just "apply each
+//    contained record", so the bootstrap path and the incremental path share
+//    one code path.
 #pragma once
 
 #include <cstdint>
@@ -266,9 +268,9 @@ std::vector<std::uint8_t> encode_snapshot_records(const std::vector<RecordBody>&
 std::optional<std::vector<RecordBody>> decode_snapshot_records(
     std::span<const std::uint8_t> bytes);
 
-/// Ordered record retention between snapshots. Appends assign sequence
-/// numbers; `since()` serves catch-up requests from lagging standbys;
-/// `truncate()` discards everything a snapshot already covers.
+/// Ordered record retention for catch-up. Appends assign sequence numbers;
+/// `since()` serves catch-up requests from lagging standbys; `truncate()`
+/// discards the prefix no standby needs any more.
 class ReplicationLog {
  public:
   /// Appends a record, assigning the next sequence number (returned).
@@ -300,6 +302,8 @@ class ReplicationLog {
   /// Drops records with seq <= through_seq.
   void truncate(std::uint64_t through_seq);
 
+  /// Highest sequence number truncate() has dropped (0 = never truncated).
+  std::uint64_t truncated_through() const { return truncated_through_; }
   /// Sequence number of the newest appended record (0 = none yet).
   std::uint64_t head_seq() const { return next_seq_ - 1; }
   /// Oldest retained sequence number (0 = log is empty).

@@ -2,7 +2,8 @@
 // and fuzzing, varint edge cases, window coalescing guardrails, the folded
 // incremental snapshot store's equivalence with standby apply, chunked
 // snapshot import, corrupt-delivery accounting (the silently-dropped-frame
-// regression), and the WebUI pipeline counters.
+// regression), log truncation at the standbys' applied position, and the
+// WebUI pipeline counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -656,6 +657,162 @@ TEST(HaCluster, StandbyExportByteIdenticalUnderCoalescing) {
   EXPECT_EQ(active_export, standby_export);
 }
 
+// The resync tick truncates the log at the standby's applied position, so
+// the log holds about one resync interval of records rather than every
+// record since the last snapshot tick — and never strands the standby.
+TEST(HaCluster, LogTruncatesAtAppliedHorizon) {
+  Network network;
+  network.enable_ha(1);  // default Config: 5 s snapshots, 100 ms resync
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs1 = network.add_as_switch("ovs1", backbone);
+  network.add_host("alice", ovs1);
+  network.add_host("bob", ovs1);
+  network.start();
+  // Half an interval off the resync grid, so every burst lands (and is
+  // applied) well before the tick that truncates it.
+  const SimTime interval = ha::HaCluster::Config{}.resync_interval;
+  network.run_for(interval / 2);
+
+  ha::HaCluster* cluster = network.ha_cluster();
+  scenario::CampusGenerator campus({});
+  constexpr std::uint32_t kPerInterval = 250;
+  std::size_t log_max = 0;
+  for (std::uint32_t burst = 0; burst < 10; ++burst) {  // 2500 records over 1 s
+    for (std::uint32_t i = 0; i < kPerInterval; ++i) {
+      const scenario::CampusHost h = campus.host(burst * kPerInterval + i);
+      cluster->replicate(ha::HostLearnedRecord{h.mac, h.ip, h.dpid, h.port, 0});
+    }
+    network.run_for(interval);
+    log_max = std::max(log_max, cluster->log().size());
+  }
+
+  EXPECT_LT(log_max, kPerInterval) << "log must not hold more than one resync interval";
+  EXPECT_GE(cluster->log().truncated_through(), 10u * kPerInterval);
+  const auto& stats = cluster->stats();
+  EXPECT_EQ(stats.snapshots_taken, 0u);
+  EXPECT_EQ(stats.snapshots_imported, 0u);
+  EXPECT_EQ(cluster->applied_seq(1), cluster->log().head_seq());
+}
+
+// Truncation under a lossy, delayed and reordering channel with two standbys
+// never passes the slowest standby: every gap is still repaired from the log
+// (retransmits, no snapshot import), and both standbys end byte-identical to
+// the active. Pinned for the pipelined and the legacy per-record arm.
+void expect_truncation_never_strands(bool pipeline) {
+  ha::FaultPlan plan;
+  plan.seed = 23;
+  plan.replication_drop_probability = 0.3;
+  plan.replication_delay_probability = 0.2;
+  plan.replication_reorder_probability = 0.2;
+  ha::HaCluster::Config config;
+  config.pipeline = pipeline;
+
+  Network network;
+  network.enable_ha(2, config, plan);
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs1 = network.add_as_switch("ovs1", backbone);
+  auto& ovs2 = network.add_as_switch("ovs2", backbone);
+  network.add_host("alice", ovs1);
+  network.add_host("bob", ovs2);
+  network.add_service_element(svc::ServiceType::kIntrusionDetection, ovs2);
+  network.start();
+
+  // Policy churn only: data traffic refreshes last_seen without replicating,
+  // which would break the byte-identical export (see the coalescing test).
+  ha::HaCluster* cluster = network.ha_cluster();
+  for (std::uint16_t step = 0; step < 20; ++step) {
+    for (std::uint16_t k = 0; k < 8; ++k) {
+      ctrl::Policy policy;
+      policy.name = "deny-" + std::to_string(step) + "-" + std::to_string(k);
+      policy.tp_dst = static_cast<std::uint16_t>(1000 + step * 8 + k);
+      policy.action = ctrl::PolicyAction::kDeny;
+      network.controller().policies().add(policy);
+    }
+    network.run_for(config.resync_interval);
+    if (cluster->log().size() > 0) {
+      const std::uint64_t slowest = std::min(cluster->applied_seq(1), cluster->applied_seq(2));
+      EXPECT_LE(cluster->log().base_seq(), slowest + 1) << "step " << step;
+    }
+    EXPECT_EQ(cluster->stats().snapshots_imported, 0u) << "step " << step;
+  }
+  EXPECT_GT(cluster->stats().records_dropped, 0u);
+  EXPECT_GT(cluster->stats().retransmits, 0u);
+  EXPECT_GT(cluster->log().truncated_through(), 0u);
+
+  // Quiesce: wait for a moment both standbys hold everything published.
+  bool quiesced = false;
+  for (int slice = 0; slice < 100 && !quiesced; ++slice) {
+    cluster->flush_replication();
+    network.run_for(10 * kMillisecond);
+    quiesced = cluster->pipeline().empty() &&
+               cluster->applied_seq(1) == cluster->log().head_seq() &&
+               cluster->applied_seq(2) == cluster->log().head_seq();
+  }
+  ASSERT_TRUE(quiesced);
+  EXPECT_EQ(cluster->stats().snapshots_imported, 0u);
+  const auto active_export = ha::encode_snapshot_records(network.controller().export_state());
+  for (std::size_t node = 1; node <= 2; ++node) {
+    EXPECT_EQ(active_export,
+              ha::encode_snapshot_records(cluster->node_controller(node).export_state()))
+        << "node " << node;
+  }
+}
+
+TEST(HaCluster, TruncationNeverStrandsLossyStandbysPipeline) {
+  expect_truncation_never_strands(true);
+}
+
+TEST(HaCluster, TruncationNeverStrandsLossyStandbysLegacy) {
+  expect_truncation_never_strands(false);
+}
+
+// A chunked import that spans resync ticks keeps the log from its
+// import_through position: once the import lands, the records published
+// meanwhile stream from the log instead of forcing a second import.
+TEST(HaCluster, TruncationKeepsTailForImportingStandby) {
+  ha::FaultPlan plan;
+  plan.replication_drop_probability = 1.0;  // the log is the only source
+  ha::HaCluster::Config config;
+  config.resync_interval = 180 * kMillisecond;  // ticks at 900 and 1080 ms…
+  config.snapshot_interval = kSecond;           // …straddle the 1 s lag cap
+  config.replication_latency = 30 * kMillisecond;  // import chunk pacing
+  config.snapshot_import_chunk = 16;
+
+  Network network;
+  network.enable_ha(1, config, plan);
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs1 = network.add_as_switch("ovs1", backbone);
+  network.add_host("alice", ovs1);
+  network.start();
+  network.run_for(750 * kMillisecond);  // t = 950 ms
+
+  ha::HaCluster* cluster = network.ha_cluster();
+  scenario::CampusGenerator campus({});
+  auto publish = [&](std::uint32_t first, std::uint32_t count) {
+    for (std::uint32_t i = first; i < first + count; ++i) {
+      const scenario::CampusHost h = campus.host(i);
+      cluster->replicate(ha::HostLearnedRecord{h.mac, h.ip, h.dpid, h.port, 0});
+    }
+  };
+  // Unapplied at the 1 s snapshot tick: strands the standby, and the 1080 ms
+  // resync starts a ~10-chunk import paced 30 ms apart.
+  publish(0, 150);
+  network.run_for(150 * kMillisecond);  // t = 1100 ms
+  ASSERT_TRUE(cluster->importing(1));
+  publish(150, 50);
+  network.run_for(200 * kMillisecond);  // t = 1300 ms: the 1260 ms tick ran
+  ASSERT_TRUE(cluster->importing(1)) << "import must span a resync tick";
+  network.run_for(600 * kMillisecond);  // import lands; the 1440 ms tick catches up
+
+  const auto& stats = cluster->stats();
+  EXPECT_EQ(stats.snapshots_taken, 1u);
+  EXPECT_EQ(stats.snapshots_imported, 1u) << "truncation stranded the importing standby";
+  EXPECT_GT(stats.retransmits, 0u);
+  EXPECT_FALSE(cluster->importing(1));
+  EXPECT_EQ(cluster->applied_seq(1), cluster->log().head_seq());
+  EXPECT_NE(cluster->node_controller(1).routing().find(campus.host(199).mac), nullptr);
+}
+
 // S6: the WebUI surfaces the pipeline counters in both renderings.
 TEST(HaCluster, WebUiRendersPipelineCounters) {
   Network network;
@@ -677,7 +834,8 @@ TEST(HaCluster, WebUiRendersPipelineCounters) {
   const std::string json = ui.snapshot_json(0, kSecond);
   for (const char* field : {"\"frames_published\":", "\"bytes_published\":",
                             "\"records_coalesced\":", "\"decode_failures\":",
-                            "\"deliveries_scheduled\":", "\"snapshot_chunks_applied\":"}) {
+                            "\"deliveries_scheduled\":", "\"snapshot_chunks_applied\":",
+                            "\"truncated_through\":"}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
   EXPECT_EQ(json.find("\"frames_published\":0,"), std::string::npos)
@@ -688,6 +846,7 @@ TEST(HaCluster, WebUiRendersPipelineCounters) {
   EXPECT_NE(text.find("frames: published="), std::string::npos);
   EXPECT_NE(text.find("decode_failures="), std::string::npos);
   EXPECT_NE(text.find("coalesced="), std::string::npos);
+  EXPECT_NE(text.find(" truncated_through="), std::string::npos);
 }
 
 }  // namespace
