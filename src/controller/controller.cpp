@@ -307,9 +307,8 @@ void Controller::handle_lldp(DatapathId dpid, PortId in_port, const pkt::Packet&
     topology_.links().add(link);
     ++stats_.lldp_links;
     replicate(ha::LinkRecord{link.src, link.src_port, link.dst, link.dst_port});
-    // Canonical low<->high rendering: which direction's LLDP probe lands
-    // first is a kernel scheduling artifact (serial vs parallel islands),
-    // and the event stream must be identical across kernels (DESIGN.md §10).
+    // Canonical low<->high rendering: the event names the link the same way
+    // whichever direction's LLDP probe lands first.
     const DatapathId lo = std::min(link.src, link.dst);
     const DatapathId hi = std::max(link.src, link.dst);
     raise(mon::EventType::kLinkDiscovered,

@@ -1,7 +1,6 @@
 #include "net/network.h"
 
 #include <cassert>
-#include <unordered_map>
 
 namespace livesec::net {
 
@@ -141,7 +140,6 @@ sw::OpenFlowSwitch& Network::add_as_switch(const std::string& name, sw::Ethernet
   controller_.register_ls_port(dpid, uplink.id());
 
   channels_.push_back(std::make_unique<of::SecureChannel>(sim_, as_switch, controller_));
-  channel_switch_nodes_.push_back(&as_switch);
   channels_.back()->set_wire_encoding(wire_encoding_);
   controller_.attach_channel(dpid, *channels_.back(), topo::NodeKind::kAsSwitch);
   if (ha_) ha_->manage_switch(as_switch, *channels_.back(), topo::NodeKind::kAsSwitch);
@@ -160,7 +158,6 @@ sw::WifiAccessPoint& Network::add_wifi_ap(const std::string& name, sw::EthernetS
   controller_.register_ls_port(dpid, uplink.id());
 
   channels_.push_back(std::make_unique<of::SecureChannel>(sim_, ap, controller_));
-  channel_switch_nodes_.push_back(&ap);
   channels_.back()->set_wire_encoding(wire_encoding_);
   controller_.attach_channel(dpid, *channels_.back(), topo::NodeKind::kWifiAp);
   if (ha_) ha_->manage_switch(ap, *channels_.back(), topo::NodeKind::kWifiAp);
@@ -247,65 +244,6 @@ void Network::move_host(Host& host, sw::OpenFlowSwitch& new_switch, double acces
   host.announce();
 }
 
-void Network::enable_parallel(ParallelConfig config) {
-  assert(!parallel_ && "enable_parallel called twice");
-  assert(!started_ && "enable_parallel must precede start()");
-  assert(!ha_ && "the parallel kernel does not support the HA cluster "
-                 "(failover mutates switch state across islands)");
-
-  // Coupling graph: one node per simulation entity plus one for the
-  // controller; links and secure channels are the delay edges. Weights bias
-  // the balance toward packet-processing entities.
-  topo::IslandGraph graph;
-  const std::uint32_t controller_node = graph.add_node(16);
-  std::unordered_map<sim::Node*, std::uint32_t> node_id;
-  auto add_entity = [&graph, &node_id](sim::Node& node, std::uint32_t weight) {
-    node_id.emplace(&node, graph.add_node(weight));
-  };
-  for (auto& s : legacy_) add_entity(*s, 8);
-  for (auto& s : as_switches_) add_entity(*s, 8);
-  for (auto& ap : wifi_aps_) add_entity(*ap, 8);
-  for (auto& se : service_elements_) add_entity(*se, 8);
-  for (auto& h : hosts_) add_entity(*h, 1);
-  for (auto& link : links_) {
-    graph.add_edge(node_id.at(&link->end_a().owner()), node_id.at(&link->end_b().owner()),
-                   link->config().propagation_delay);
-  }
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    graph.add_edge(controller_node, node_id.at(channel_switch_nodes_[i]),
-                   channels_[i]->latency());
-  }
-
-  partition_ = std::make_unique<topo::IslandPartition>(
-      topo::IslandPartition::compute(graph, config.max_islands));
-  // The root simulator already holds the controller's handshake events, so
-  // the controller's island must adopt it — relabel that island to 0.
-  partition_->promote_island_of(controller_node);
-
-  sim::ParallelSimulator::Config kernel_config;
-  kernel_config.threads = config.threads;
-  kernel_config.lookahead = partition_->lookahead;
-  parallel_ = std::make_unique<sim::ParallelSimulator>(kernel_config);
-  parallel_->add_island(sim_);  // island 0: controller + root events
-  for (std::uint32_t i = 1; i < partition_->island_count; ++i) {
-    island_sims_.push_back(std::make_unique<sim::Simulator>());
-    parallel_->add_island(*island_sims_.back());
-  }
-  auto sim_of = [this](std::uint32_t island) -> sim::Simulator& {
-    return island == 0 ? sim_ : *island_sims_[island - 1];
-  };
-
-  // Rebind walk: every entity onto its island's event loop, then the links
-  // and channels re-read their endpoints' simulators.
-  for (const auto& [node, gid] : node_id) {
-    node->rebind_simulator(sim_of(partition_->island_of[gid]));
-  }
-  for (auto& link : links_) link->rebind_sides();
-  for (std::size_t i = 0; i < channels_.size(); ++i) {
-    channels_[i]->rebind(channel_switch_nodes_[i]->simulator(), sim_);
-  }
-}
-
 void Network::start(SimTime settle) {
   assert(!started_ && "start() must be called once");
   started_ = true;
@@ -314,21 +252,15 @@ void Network::start(SimTime settle) {
   for (auto& se : service_elements_) se->start();
   // Stagger announcements a little so ARP packet-ins don't all share one
   // timestamp (keeps event ordering realistic; determinism is unaffected).
-  // Scheduled on each host's own island so the parallel kernel starts them
-  // in place (identical to the root simulator in serial mode).
   SimTime offset = 0;
   for (auto& host : hosts_) {
-    host->simulator().schedule(offset, [h = host.get()]() { h->announce(); });
+    sim_.schedule(offset, [h = host.get()]() { h->announce(); });
     offset += 100 * kMicrosecond;
   }
   run_for(settle);
 }
 
 void Network::run_for(SimTime duration) {
-  if (parallel_) {
-    parallel_->run_until(sim_.now() + duration);
-    return;
-  }
   sim_.run_until(sim_.now() + duration);
 }
 

@@ -11,13 +11,11 @@
 #include "ha/cluster.h"
 #include "net/host.h"
 #include "services/service_element.h"
-#include "sim/parallel.h"
 #include "sim/simulator.h"
 #include "switching/ethernet_switch.h"
 #include "switching/openflow_switch.h"
 #include "switching/spanning_tree.h"
 #include "switching/wifi_ap.h"
-#include "topology/island_partition.h"
 
 namespace livesec::net {
 
@@ -60,33 +58,6 @@ class Network {
   /// wire codec (as a real TCP/TLS control connection would). Applies to
   /// channels created before and after the call.
   void enable_wire_encoding();
-
-  /// Knobs for the sharded event-loop kernel (DESIGN.md §10).
-  struct ParallelConfig {
-    unsigned threads = 1;
-    /// Upper bound on switch-islands (logical processes). More islands give
-    /// the scheduler freedom; fewer keep cross-island traffic down.
-    std::uint32_t max_islands = 8;
-  };
-
-  /// Switches the deployment to the parallel kernel: partitions every node
-  /// this network owns into switch-islands along link/channel delays, gives
-  /// each island its own event loop, and routes run_for() through the
-  /// barrier-window scheduler. Call after the topology is built and before
-  /// start(). The controller keeps the root simulator as island 0 (its
-  /// handshake events are already queued there). Results are bit-identical
-  /// for a fixed seed at any thread count. Not compatible with enable_ha
-  /// (failover mutates switch state across islands) and only covers wiring
-  /// created through this Network's add_*/wire methods.
-  void enable_parallel(ParallelConfig config);
-  void enable_parallel() { enable_parallel(ParallelConfig{}); }
-
-  /// Null unless enable_parallel was called.
-  sim::ParallelSimulator* parallel() { return parallel_.get(); }
-  /// Partition the parallel kernel runs on; null unless enabled.
-  const topo::IslandPartition* partition() const { return partition_.get(); }
-  /// Island a node was assigned to (0, the controller's, unless parallel).
-  std::uint32_t island_of(const sim::Node& node) const { return node.simulator().island(); }
 
   // --- Legacy-Switching layer -------------------------------------------------
   sw::EthernetSwitch& add_legacy_switch(const std::string& name);
@@ -186,14 +157,7 @@ class Network {
   std::vector<std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<svc::ServiceElement>> service_elements_;
   std::vector<std::unique_ptr<of::SecureChannel>> channels_;
-  /// The sim::Node behind each channel's switch endpoint, same order as
-  /// channels_ (the partitioner needs the node; SwitchEndpoint hides it).
-  std::vector<sim::Node*> channel_switch_nodes_;
   std::vector<std::unique_ptr<sim::Link>> links_;
-
-  std::unique_ptr<sim::ParallelSimulator> parallel_;
-  std::unique_ptr<topo::IslandPartition> partition_;
-  std::vector<std::unique_ptr<sim::Simulator>> island_sims_;  // islands 1..K-1
 
   sw::SpanningTree legacy_graph_;
   bool wire_encoding_ = false;

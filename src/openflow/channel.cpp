@@ -12,15 +12,14 @@ SecureChannel::SecureChannel(sim::Simulator& sim, SwitchEndpoint& sw,
                              ControllerEndpoint& controller, SimTime one_way_latency)
     : switch_(&sw),
       controller_(&controller),
-      switch_sim_(&sim),
-      controller_sim_(&sim),
+      sim_(&sim),
       latency_(one_way_latency) {}
 
 void SecureChannel::connect(const FeaturesReply& features) {
   if (connected_) return;
   connected_ = true;
   const DatapathId dpid = switch_->datapath_id();
-  switch_sim_->schedule_cross(*controller_sim_, latency_, [this, dpid, features]() {
+  sim_->schedule(latency_, [this, dpid, features]() {
     controller_->handle_switch_connected(dpid, features);
   });
 }
@@ -29,7 +28,7 @@ void SecureChannel::disconnect() {
   if (!connected_) return;
   connected_ = false;
   const DatapathId dpid = switch_->datapath_id();
-  switch_sim_->schedule_cross(*controller_sim_, latency_, [this, dpid]() {
+  sim_->schedule(latency_, [this, dpid]() {
     controller_->handle_switch_disconnected(dpid);
   });
 }
@@ -60,21 +59,10 @@ void SecureChannel::send_to_controller(Message message) {
   ++to_controller_;
   ++in_flight_[kToController];
   const DatapathId dpid = switch_->datapath_id();
-  if (switch_sim_ == controller_sim_) {
-    // Serial / same island: one event, as the serial kernel always ran it.
-    switch_sim_->schedule(latency_, [this, dpid, m = std::move(*carried)]() {
-      --in_flight_[kToController];
-      controller_->handle_switch_message(dpid, m);
-    });
-    return;
-  }
-  // Cross-island: the depth bookkeeping stays on the sender's island; only
-  // the delivery hops, with delay >= the partition lookahead.
-  switch_sim_->schedule(latency_, [this]() { --in_flight_[kToController]; });
-  switch_sim_->schedule_cross(*controller_sim_, latency_,
-                              [this, dpid, m = std::move(*carried)]() {
-                                controller_->handle_switch_message(dpid, m);
-                              });
+  sim_->schedule(latency_, [this, dpid, m = std::move(*carried)]() {
+    --in_flight_[kToController];
+    controller_->handle_switch_message(dpid, m);
+  });
 }
 
 void SecureChannel::send_frame_to_switch(std::span<const std::uint8_t> frame) {
@@ -105,18 +93,10 @@ void SecureChannel::deliver_to_switch(Message message) {
   }
   ++to_switch_;
   ++in_flight_[kToSwitch];
-  if (switch_sim_ == controller_sim_) {
-    controller_sim_->schedule(latency_, [this, m = std::move(message)]() {
-      --in_flight_[kToSwitch];
-      switch_->handle_controller_message(m);
-    });
-    return;
-  }
-  controller_sim_->schedule(latency_, [this]() { --in_flight_[kToSwitch]; });
-  controller_sim_->schedule_cross(*switch_sim_, latency_,
-                                  [this, m = std::move(message)]() {
-                                    switch_->handle_controller_message(m);
-                                  });
+  sim_->schedule(latency_, [this, m = std::move(message)]() {
+    --in_flight_[kToSwitch];
+    switch_->handle_controller_message(m);
+  });
 }
 
 }  // namespace livesec::of

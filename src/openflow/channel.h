@@ -42,28 +42,10 @@ class ControllerEndpoint {
 /// connection; here delivery is an event scheduled `latency` into the future,
 /// which preserves the control-plane round-trip cost that dominates the
 /// first-packet latency measured in paper §V.B.3.
-///
-/// The channel may cross an island boundary in the parallel kernel (the
-/// controller runs on island 0, the switch wherever the partitioner put it).
-/// All mutable per-direction state — depth, xid, drop counters — is owned by
-/// the direction's *sending* side, and the in-flight message itself travels
-/// in the delivery callback's capture, so the two sides share nothing
-/// written concurrently. The one-way latency is a cross-island edge in the
-/// partition graph, so it bounds the lookahead like a link's propagation
-/// delay does. Connect/disconnect/blackhole/config changes are control
-/// actions: legal while the simulation is serial or between parallel runs,
-/// not from inside a parallel window on another island.
 class SecureChannel {
  public:
   SecureChannel(sim::Simulator& sim, SwitchEndpoint& sw, ControllerEndpoint& controller,
                 SimTime one_way_latency = 100 * kMicrosecond);
-
-  /// Points each side at its island's simulator (Network::enable_parallel).
-  /// Must not be called with messages in flight.
-  void rebind(sim::Simulator& switch_side, sim::Simulator& controller_side) {
-    switch_sim_ = &switch_side;
-    controller_sim_ = &controller_side;
-  }
 
   /// When enabled, every message is serialized through the OpenFlow wire
   /// codec and parsed back before delivery — byte-faithful transport, as a
@@ -120,8 +102,8 @@ class SecureChannel {
   std::uint64_t messages_to_switch() const { return to_switch_; }
 
  private:
-  /// Direction index: state at index d is written only by that direction's
-  /// sending side (kToSwitch = controller side, kToController = switch side).
+  /// Direction index for per-direction state, named by where the message
+  /// goes (kToSwitch is sent by the controller, kToController by the switch).
   enum Direction : std::size_t { kToSwitch = 0, kToController = 1 };
 
   /// Applies the wire codec round trip when enabled; nullopt = drop. Takes
@@ -132,8 +114,7 @@ class SecureChannel {
 
   SwitchEndpoint* switch_;
   ControllerEndpoint* controller_;
-  sim::Simulator* switch_sim_;      ///< island running the switch's events
-  sim::Simulator* controller_sim_;  ///< island running the controller's events
+  sim::Simulator* sim_;
   SimTime latency_;
   bool connected_ = false;
   bool wire_encoding_ = false;
@@ -141,17 +122,15 @@ class SecureChannel {
   /// Default bound: far above any healthy latency-window backlog, small
   /// enough that a runaway sender degrades into counted drops, not OOM.
   std::size_t outbox_limit_ = 8192;
-  /// In-flight depth per direction. The sender increments at send and
-  /// schedules a same-island decrement at the delivery time, so the counter
-  /// never crosses islands (same pattern as Link's serializer bookkeeping).
+  /// In-flight depth per direction.
   std::size_t in_flight_[2] = {0, 0};
-  std::uint64_t to_controller_ = 0;  // written by the switch side only
-  std::uint64_t to_switch_ = 0;      // written by the controller side only
+  std::uint64_t to_controller_ = 0;
+  std::uint64_t to_switch_ = 0;
   std::uint64_t wire_failures_[2] = {0, 0};
   std::uint64_t outbox_dropped_[2] = {0, 0};
   std::uint64_t blackholed_[2] = {0, 0};
-  /// Disjoint xid spaces per direction keep wire frames distinguishable
-  /// without the two sides sharing a counter.
+  /// Disjoint xid spaces per direction keep the two directions' wire frames
+  /// distinguishable.
   std::uint32_t next_xid_[2] = {1, 0x8000'0001};
 };
 

@@ -35,9 +35,7 @@ class Payload {
   auto end() const { return bytes_.end(); }
   std::span<const std::uint8_t> view() const { return bytes_; }
 
-  /// The payload's content fingerprint, memoized on first use (thread-safe:
-  /// parallel-kernel islands may race the first inspection of a shared
-  /// payload).
+  /// The payload's content fingerprint, memoized on first use (thread-safe).
   const FuzzyDigest& fuzzy_digest() const;
 
   /// Process-wide count of digest computations (bench_micro asserts the

@@ -25,10 +25,9 @@ struct PoolState {
 /// Bounds pool memory (~4k blocks of ~0.3KB per thread) under burst churn.
 constexpr std::size_t kMaxPooledBlocks = 4096;
 
-/// One pool per thread, so the parallel kernel's islands recycle packets
-/// without a shared free list (no lock, no false sharing, TSan-clean). A
-/// packet that crosses islands simply retires into the receiving thread's
-/// pool — blocks are interchangeable.
+/// One pool per thread, so threads recycle packets without a shared free
+/// list (no lock, no false sharing). A packet freed on another thread simply
+/// retires into that thread's pool — blocks are interchangeable.
 ///
 /// The raw guard pointer is nulled when the thread's pool is destroyed
 /// (thread exit / static teardown), so late deallocations — a packet held by

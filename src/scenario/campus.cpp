@@ -9,41 +9,7 @@ CampusGenerator::CampusGenerator(CampusConfig config)
     : config_(config), seed_(splitmix64(config.seed)) {
   config_.hosts = std::max<std::uint32_t>(config_.hosts, 1);
   config_.hosts_per_switch = std::max<std::uint32_t>(config_.hosts_per_switch, 1);
-  config_.buildings = std::max<std::uint32_t>(config_.buildings, 1);
   switch_count_ = (config_.hosts + config_.hosts_per_switch - 1) / config_.hosts_per_switch;
-}
-
-std::uint32_t CampusGenerator::building_count() const {
-  return std::min(config_.buildings, switch_count_);
-}
-
-std::uint32_t CampusGenerator::building_of_switch(std::uint32_t switch_index) const {
-  // Contiguous balanced blocks: building b holds switches
-  // [b*S/B, (b+1)*S/B), so neighbors share a building.
-  return static_cast<std::uint32_t>(static_cast<std::uint64_t>(switch_index) *
-                                    building_count() / switch_count_);
-}
-
-std::uint32_t CampusGenerator::hosts_on_switch(std::uint32_t switch_index) const {
-  const std::uint64_t first = std::uint64_t{switch_index} * config_.hosts_per_switch;
-  const std::uint64_t past = std::min<std::uint64_t>(first + config_.hosts_per_switch,
-                                                     config_.hosts);
-  return first < past ? static_cast<std::uint32_t>(past - first) : 0;
-}
-
-topo::IslandGraph CampusGenerator::island_graph() const {
-  topo::IslandGraph graph;
-  const std::uint32_t core = graph.add_node(1);
-  std::vector<std::uint32_t> riser(building_count());
-  for (std::uint32_t b = 0; b < building_count(); ++b) {
-    riser[b] = graph.add_node(1);
-    graph.add_edge(core, riser[b], config_.core_delay);
-  }
-  for (std::uint32_t s = 0; s < switch_count_; ++s) {
-    const std::uint32_t node = graph.add_node(hosts_on_switch(s));
-    graph.add_edge(node, riser[building_of_switch(s)], config_.riser_delay);
-  }
-  return graph;
 }
 
 CampusHost CampusGenerator::host(std::uint32_t i) const {

@@ -18,7 +18,6 @@
 #include "common/ip_address.h"
 #include "common/mac_address.h"
 #include "common/types.h"
-#include "topology/island_partition.h"
 
 namespace livesec::scenario {
 
@@ -26,15 +25,6 @@ struct CampusConfig {
   std::uint32_t hosts = 10'000;
   /// Access ports per AS switch; the switch count follows from `hosts`.
   std::uint32_t hosts_per_switch = 256;
-  /// Buildings the AS switches spread over — the campus's natural island
-  /// structure for the parallel kernel. Switches within a building share a
-  /// short riser backbone; buildings meet the campus core over longer fiber.
-  std::uint32_t buildings = 16;
-  /// Propagation delay of a within-building riser hop.
-  SimTime riser_delay = 2 * kMicrosecond;
-  /// Propagation delay of a building-to-core fiber run (the cross-island
-  /// lookahead floor when islands follow buildings).
-  SimTime core_delay = 20 * kMicrosecond;
   std::uint64_t seed = 0x11BE5EC;
 
   /// Mean flow starts per host per second at peak intensity.
@@ -102,22 +92,6 @@ class CampusGenerator {
   std::uint32_t switch_count() const { return switch_count_; }
   /// Port every AS switch uses as its Legacy-Switching uplink.
   PortId ls_uplink_port() const { return config_.hosts_per_switch + 1; }
-
-  /// Number of buildings actually used (never more than there are switches).
-  std::uint32_t building_count() const;
-  /// Building an AS switch belongs to, by 0-based switch index (dpid - 1).
-  /// Switches fill buildings in contiguous, balanced blocks — the island
-  /// hint the parallel kernel's partitioner recovers from the delay graph.
-  std::uint32_t building_of_switch(std::uint32_t switch_index) const;
-  /// Hosts hanging off switch `switch_index` (the last switch may be short).
-  std::uint32_t hosts_on_switch(std::uint32_t switch_index) const;
-
-  /// Coupling graph of the campus fabric for topo::IslandPartition: node 0
-  /// is the campus core, nodes 1..building_count() the per-building risers,
-  /// then one node per AS switch (weighted by its host count) in index
-  /// order. Cross-building paths all traverse core fiber, so a
-  /// building-aligned partition has lookahead >= `core_delay`.
-  topo::IslandGraph island_graph() const;
 
   /// Host record for index `i` (O(1), nothing stored). MACs carry the
   /// locally-administered bit; IPs are drawn from 10.0.0.0/8.

@@ -22,8 +22,7 @@
 //    poison the cache.
 //
 // The store is sharded (key-bit sharding over FlatHashMaps) with one mutex
-// per shard: SEs and the controller run on different islands under the
-// parallel kernel, so lookups/inserts must be thread-safe and TSan-clean.
+// per shard, so lookups and inserts are thread-safe.
 #pragma once
 
 #include <array>

@@ -23,7 +23,7 @@ void Port::receive(pkt::PacketPtr packet) {
 }
 
 Link::Link(Simulator& sim, Port& a, Port& b, Config config)
-    : a_(&a), b_(&b), config_(config), side_sim_{&sim, &sim} {
+    : a_(&a), b_(&b), config_(config), sim_(&sim) {
   assert(a_->link_ == nullptr && b_->link_ == nullptr && "port already wired");
   a_->link_ = this;
   b_->link_ = this;
@@ -32,11 +32,6 @@ Link::Link(Simulator& sim, Port& a, Port& b, Config config)
 Link::~Link() {
   a_->link_ = nullptr;
   b_->link_ = nullptr;
-}
-
-void Link::rebind_sides() {
-  side_sim_[0] = &a_->owner().simulator();
-  side_sim_[1] = &b_->owner().simulator();
 }
 
 void Link::enqueue(Port& from, pkt::PacketPtr packet) {
@@ -49,8 +44,7 @@ void Link::enqueue(Port& from, pkt::PacketPtr packet) {
     return;
   }
 
-  Simulator& sim = *side_sim_[dir];
-  const SimTime now = sim.now();
+  const SimTime now = sim_->now();
   const SimTime serialization =
       static_cast<SimTime>(static_cast<double>(size) * 8.0 / config_.bandwidth_bps * kSecond);
   const SimTime start = busy_until_[dir] > now ? busy_until_[dir] : now;
@@ -64,30 +58,13 @@ void Link::enqueue(Port& from, pkt::PacketPtr packet) {
   // port is recomputed from the direction on delivery.
   const std::uint32_t size32 = static_cast<std::uint32_t>(size);
   const std::uint8_t dir8 = static_cast<std::uint8_t>(dir);
-  if (side_sim_[0] == side_sim_[1]) {
-    // Same island: one combined event, identical to the serial kernel.
-    sim.schedule_at(arrival, [this, dir8, size32, packet = std::move(packet)]() mutable {
-      backlog_[dir8] -= size32;
-      ++delivered_packets_[dir8];
-      delivered_bytes_[dir8] += size32;
-      Port* to = (dir8 == 0) ? b_ : a_;
-      to->receive(std::move(packet));
-    });
-    return;
-  }
-  // Cross-island: the sender island keeps its serializer bookkeeping (all
-  // dir-indexed state stays single-writer), and only the receive hops
-  // islands with delay >= propagation_delay >= lookahead.
-  sim.schedule_at(arrival, [this, dir8, size32] {
+  sim_->schedule_at(arrival, [this, dir8, size32, packet = std::move(packet)]() mutable {
     backlog_[dir8] -= size32;
     ++delivered_packets_[dir8];
     delivered_bytes_[dir8] += size32;
+    Port* to = (dir8 == 0) ? b_ : a_;
+    to->receive(std::move(packet));
   });
-  sim.schedule_cross(*side_sim_[1 - dir], arrival - now,
-                     [this, dir8, packet = std::move(packet)]() mutable {
-                       Port* to = (dir8 == 0) ? b_ : a_;
-                       to->receive(std::move(packet));
-                     });
 }
 
 Port& Node::add_port() {

@@ -17,12 +17,6 @@ class Link;
 
 /// One physical interface of a Node. Ports are created by the node and wired
 /// to at most one Link.
-///
-/// Counters are island-local: every write happens on the owning node's
-/// simulator (tx/drop in `transmit` and the link's overflow path, rx in
-/// `receive` — which the link delivers on the owner's island), so the
-/// parallel kernel needs no atomics here. Aggregation across islands is a
-/// read-side merge between runs (DESIGN.md §10).
 class Port {
  public:
   Port(Node& owner, PortId id) : owner_(&owner), id_(id) {}
@@ -65,13 +59,6 @@ class Port {
 /// then propagates for `propagation_delay`. When the queue backlog exceeds
 /// `max_queue_bytes` the packet is dropped (tail drop), which is what caps
 /// throughput at link capacity in every experiment of paper §V.B.1.
-///
-/// Links are the only edges allowed to cross island boundaries in the
-/// parallel kernel: all per-direction serializer state and counters are
-/// owned by the *sending* side's island, and only the final `receive` hops
-/// islands — as an inter-LP message whose delay is at least
-/// `propagation_delay`, which is exactly the lookahead the partitioner
-/// derives from this link.
 class Link {
  public:
   struct Config {
@@ -88,12 +75,7 @@ class Link {
 
   const Config& config() const { return config_; }
 
-  /// Re-reads both endpoints' owning simulators after an island rebind
-  /// (Network::enable_parallel). Must not be called while packets are in
-  /// flight on the link.
-  void rebind_sides();
-
-  /// Endpoint ports (the island partitioner walks links as graph edges).
+  /// Endpoint ports.
   Port& end_a() const { return *a_; }
   Port& end_b() const { return *b_; }
 
@@ -120,11 +102,9 @@ class Link {
   Port* a_;
   Port* b_;
   Config config_;
-  /// Simulator of each side's owning node: side 0 = a_'s, side 1 = b_'s.
-  /// Identical in serial mode; per-island after a parallel rebind.
-  Simulator* side_sim_[2];
+  Simulator* sim_;
   // Per-direction serializer state and counters, indexed by sending
-  // direction (0 = a->b) and written only on the sender's island.
+  // direction (0 = a->b).
   SimTime busy_until_[2] = {0, 0};
   std::size_t backlog_[2] = {0, 0};
   std::uint64_t delivered_packets_[2] = {0, 0};
@@ -144,10 +124,6 @@ class Node {
 
   Simulator& simulator() const { return *sim_; }
   const std::string& name() const { return name_; }
-
-  /// Points the node at its island's simulator (parallel mode). Call before
-  /// the simulation starts; links are re-pointed via `Link::rebind_sides`.
-  void rebind_simulator(Simulator& sim) { sim_ = &sim; }
 
   /// Creates a new port with the next free id and returns it.
   Port& add_port();

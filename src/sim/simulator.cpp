@@ -21,15 +21,6 @@ std::uint64_t Simulator::run_until(SimTime deadline) {
   return count;
 }
 
-std::uint64_t Simulator::run_window(SimTime end_exclusive) {
-  std::uint64_t count = 0;
-  while (!queue_.empty() && queue_.next_time() < end_exclusive) {
-    step();
-    ++count;
-  }
-  return count;
-}
-
 bool Simulator::step() {
   if (queue_.empty()) return false;
   Event e = queue_.pop();

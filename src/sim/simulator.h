@@ -3,52 +3,18 @@
 
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <utility>
 
 #include "common/types.h"
 #include "sim/event_queue.h"
-#include "sim/inline_function.h"
 
 namespace livesec::sim {
 
-/// Sentinel "never" timestamp (also the open window bound of a serial run).
-inline constexpr SimTime kTimeMax = std::numeric_limits<SimTime>::max();
-
-/// Hooks a `Simulator` uses when it runs as one island of a parallel
-/// simulation (see ParallelSimulator). Events that fall past the island's
-/// current window, and events addressed to another island, are handed to the
-/// backend as timestamped messages instead of entering the calendar queue
-/// directly; the backend merges them back in deterministic order at window
-/// boundaries.
-class ParallelBackend {
- public:
-  /// An event of `island` whose time lies at or past the island's window end.
-  /// `parent` is the dispatch time of the scheduling event (the merge key
-  /// that reproduces serial scheduling order across islands).
-  virtual void stage_local(std::uint32_t island, SimTime when, SimTime parent,
-                           InlineFunction action) = 0;
-  /// An event scheduled by `src` island for `dst` island (inter-LP message).
-  virtual void post_remote(std::uint32_t src, std::uint32_t dst, SimTime when,
-                           SimTime parent, InlineFunction action) = 0;
-
- protected:
-  ~ParallelBackend() = default;
-};
-
 /// Discrete-event simulator: one virtual clock over one calendar queue.
 ///
-/// Serial mode (the reference kernel): every network element schedules its
-/// work through one `Simulator`, which guarantees a globally ordered,
-/// reproducible execution.
-///
-/// Parallel mode (DESIGN.md §10): each switch-island owns one `Simulator`
-/// as its logical process. The owning `ParallelSimulator` bounds execution
-/// with `set_window_end()` + `run_window()`; `schedule` calls that land past
-/// the window bound are staged through the backend, and cross-island
-/// schedules travel as inter-LP messages via `schedule_cross`. With no
-/// backend attached the window bound is `kTimeMax` and every call takes the
-/// serial path — a single well-predicted compare on the hot path.
+/// Every network element schedules its work through one `Simulator`, which
+/// guarantees a globally ordered, reproducible execution: events run in
+/// time order, and events with equal times run in scheduling order.
 class Simulator {
  public:
   SimTime now() const { return now_; }
@@ -66,30 +32,7 @@ class Simulator {
   template <typename F>
   void schedule_at(SimTime when, F&& action) {
     assert(when >= now_ && "cannot schedule into the past");
-    if (when < window_end_) [[likely]] {
-      queue_.push(when, std::forward<F>(action));
-    } else {
-      backend_->stage_local(island_, when, now_, InlineFunction(std::forward<F>(action)));
-    }
-  }
-
-  /// Schedules `action` on `target`'s clock `delay` ns from this clock's now.
-  /// Same simulator: identical to `target.schedule(delay, ...)`. Different
-  /// simulator (parallel mode, cross-island edge): the call becomes a
-  /// timestamped inter-LP message delivered at a window boundary; `delay`
-  /// must then be at least the configured lookahead (link propagation delay
-  /// guarantees this — links are the only cross-island edges).
-  template <typename F>
-  void schedule_cross(Simulator& target, SimTime delay, F&& action) {
-    assert(delay >= 0 && "cannot schedule into the past");
-    if (&target == this) {
-      schedule_at(now_ + delay, std::forward<F>(action));
-      return;
-    }
-    assert(backend_ != nullptr && backend_ == target.backend_ &&
-           "cross-simulator schedule requires a shared parallel backend");
-    backend_->post_remote(island_, target.island_, now_ + delay, now_,
-                          InlineFunction(std::forward<F>(action)));
+    queue_.push(when, std::forward<F>(action));
   }
 
   /// Runs events until the queue drains. Returns the number of events run.
@@ -104,51 +47,9 @@ class Simulator {
 
   std::size_t pending_events() const { return queue_.size(); }
 
-  // --- parallel-mode interface (called by ParallelSimulator) ----------------
-
-  /// Attaches this simulator to a parallel backend as island `island`.
-  void set_parallel(ParallelBackend* backend, std::uint32_t island) {
-    backend_ = backend;
-    island_ = island;
-    window_end_ = kTimeMax;
-  }
-
-  std::uint32_t island() const { return island_; }
-  ParallelBackend* backend() const { return backend_; }
-
-  /// Exclusive upper bound for direct queue insertion; `kTimeMax` opens it.
-  void set_window_end(SimTime end_exclusive) { window_end_ = end_exclusive; }
-
-  /// Time of the earliest pending event, or `kTimeMax` when idle.
-  SimTime next_event_time() const {
-    return queue_.empty() ? kTimeMax : queue_.next_time();
-  }
-
-  /// Inserts a window-boundary message directly into the queue, bypassing
-  /// the window check. The caller (the mailbox drain) is responsible for
-  /// pushing messages in deterministic merge order — insertion order is the
-  /// tie-break for equal timestamps.
-  void push_drained(SimTime when, InlineFunction action) {
-    assert(when >= now_ && "drained message in this island's past");
-    queue_.push(when, std::move(action));
-  }
-
-  /// Runs every pending event with time < `end_exclusive`. The clock ends on
-  /// the last dispatched event; use `advance_clock` at the end of the whole
-  /// parallel run. Returns the number of events run.
-  std::uint64_t run_window(SimTime end_exclusive);
-
-  /// Moves the clock forward to `t` (never backward).
-  void advance_clock(SimTime t) {
-    if (now_ < t) now_ = t;
-  }
-
  private:
   SimTime now_ = 0;
   EventQueue queue_;
-  ParallelBackend* backend_ = nullptr;
-  std::uint32_t island_ = 0;
-  SimTime window_end_ = kTimeMax;
 };
 
 }  // namespace livesec::sim
