@@ -16,7 +16,9 @@
 //         and sinks behind AS switches on a legacy backbone, UDP traffic
 //         redirected through IDS service elements (4 rewrite hops per
 //         policied flow, paper §IV.A). Measures wall-clock packets/sec and
-//         events/sec, i.e. how fast the kernel pushes real LiveSec traffic.
+//         events/sec, i.e. how fast the kernel pushes real LiveSec traffic,
+//         and the simulation-deterministic events dispatched per delivered
+//         packet (`fit_redirect_events_per_packet`): one per link hop.
 //
 // `--json` emits the machine-readable form recorded in BENCH_kernel.json,
 // including the process's peak RSS once the FIT runs are done
@@ -117,6 +119,7 @@ double run_drain(std::uint64_t& dispatched) {
 struct FitResult {
   double packets_per_sec_wall = 0;  // delivered end-to-end packets / wall second
   double events_per_sec_wall = 0;   // kernel dispatches / wall second
+  double events_per_packet = 0;     // kernel dispatches / delivered packet
   double goodput_bps = 0;           // simulated goodput (sanity anchor)
 };
 
@@ -172,6 +175,7 @@ FitResult run_fit_once() {
   FitResult r;
   r.packets_per_sec_wall = static_cast<double>(delivered_packets) / elapsed;
   r.events_per_sec_wall = static_cast<double>(events) / elapsed;
+  r.events_per_packet = static_cast<double>(events) / static_cast<double>(delivered_packets);
   r.goodput_bps = static_cast<double>(delivered_bytes) * 8.0 /
                   to_seconds(network.sim().now() - sim_start);
   return r;
@@ -209,6 +213,7 @@ int main(int argc, char** argv) {
     out.metric("events_drain_speedup", speedup, "x");
     out.metric("fit_redirect_packets_per_sec", fit.packets_per_sec_wall, "packets/s");
     out.metric("fit_redirect_events_per_sec", fit.events_per_sec_wall, "events/s");
+    out.metric("fit_redirect_events_per_packet", fit.events_per_packet, "events/packet");
     out.metric("fit_redirect_goodput", fit.goodput_bps, "bps");
     out.metric("fit_redirect_peak_rss_mb", fit_peak_rss, "MB");
     out.metric("hardware_concurrency", hw, "threads");
@@ -221,6 +226,7 @@ int main(int argc, char** argv) {
     std::printf("%-34s %11.2fx\n", "calendar vs reference heap", speedup);
     std::printf("%-34s %12.0f packets/s wall\n", "FIT redirect end-to-end", fit.packets_per_sec_wall);
     std::printf("%-34s %12.0f events/s wall\n", "FIT redirect kernel rate", fit.events_per_sec_wall);
+    std::printf("%-34s %12.2f events/packet\n", "FIT redirect kernel cost", fit.events_per_packet);
     std::printf("%-34s %15s\n", "FIT redirect goodput", format_rate_bps(fit.goodput_bps).c_str());
     std::printf("%-34s %12.1f MB\n", "peak RSS after FIT redirect", fit_peak_rss);
   }

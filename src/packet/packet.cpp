@@ -1,6 +1,5 @@
 #include "packet/packet.h"
 
-#include <atomic>
 #include <sstream>
 
 #include "packet/packet_pool.h"
@@ -113,20 +112,20 @@ std::string Packet::summary() const {
 PacketPtr finalize(Packet p) { return pooled_packet(std::move(p)); }
 
 namespace {
-std::atomic<std::uint64_t> g_digest_computations{0};
+// Plain counter: the simulator is single-threaded.
+std::uint64_t g_digest_computations = 0;
 }  // namespace
 
 const FuzzyDigest& Payload::fuzzy_digest() const {
-  std::call_once(digest_once_, [this] {
+  if (!digest_ready_) {
     digest_ = FuzzyDigest::of(bytes_);
-    g_digest_computations.fetch_add(1, std::memory_order_relaxed);
-  });
+    digest_ready_ = true;
+    ++g_digest_computations;
+  }
   return digest_;
 }
 
-std::uint64_t Payload::digest_computations() {
-  return g_digest_computations.load(std::memory_order_relaxed);
-}
+std::uint64_t Payload::digest_computations() { return g_digest_computations; }
 
 PayloadPtr make_payload(std::string_view text) {
   return std::make_shared<const Payload>(std::vector<std::uint8_t>(text.begin(), text.end()));

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,8 +21,8 @@ class Payload {
   Payload() = default;
   explicit Payload(std::vector<std::uint8_t> bytes) : bytes_(std::move(bytes)) {}
 
-  // The memoization slot makes Payload non-copyable; it is only ever shared
-  // through PayloadPtr, so nothing needs to copy it.
+  // Only ever shared through PayloadPtr, so the memoized digest is computed
+  // once per allocation; nothing needs to copy a Payload.
   Payload(const Payload&) = delete;
   Payload& operator=(const Payload&) = delete;
 
@@ -35,7 +34,7 @@ class Payload {
   auto end() const { return bytes_.end(); }
   std::span<const std::uint8_t> view() const { return bytes_; }
 
-  /// The payload's content fingerprint, memoized on first use (thread-safe).
+  /// The payload's content fingerprint, memoized on first use.
   const FuzzyDigest& fuzzy_digest() const;
 
   /// Process-wide count of digest computations (bench_micro asserts the
@@ -44,7 +43,8 @@ class Payload {
 
  private:
   std::vector<std::uint8_t> bytes_;
-  mutable std::once_flag digest_once_;
+  // Plain memo slot: the simulator is single-threaded.
+  mutable bool digest_ready_ = false;
   mutable FuzzyDigest digest_;
 };
 

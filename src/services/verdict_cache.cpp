@@ -34,7 +34,6 @@ VerdictCache::VerdictCache(Config config) : config_(config) {
 std::optional<VerdictCache::Entry> VerdictCache::load_live(std::uint64_t key,
                                                            std::uint64_t current_epoch) {
   Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
   Entry* entry = shard.exact.find(key);
   if (entry == nullptr) return std::nullopt;
   if (entry->epoch != current_epoch) {
@@ -55,18 +54,15 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
   const auto serve = [&](const Entry& entry, std::uint32_t distance) {
     Shard& shard = shard_of(entry.digest.key());
     std::uint64_t hits = 0;
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      ++shard.hits;
-      if (entry.verdict == CachedVerdict::kBenign) {
-        ++shard.benign_hits;
-      } else {
-        ++shard.malicious_hits;
-        if (distance > 0) ++shard.fuzzy_hits;
-      }
-      if (Entry* live = shard.exact.find(entry.digest.key()); live != nullptr) {
-        hits = ++live->hits;
-      }
+    ++shard.hits;
+    if (entry.verdict == CachedVerdict::kBenign) {
+      ++shard.benign_hits;
+    } else {
+      ++shard.malicious_hits;
+      if (distance > 0) ++shard.fuzzy_hits;
+    }
+    if (Entry* live = shard.exact.find(entry.digest.key()); live != nullptr) {
+      hits = ++live->hits;
     }
     VerdictCacheEntry out;
     out.verdict = entry.verdict;
@@ -87,14 +83,9 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
   // agreeing on at least one lane pair; the sketch distance is then checked
   // against the threshold for real.
   for (const std::uint64_t band_key : digest.band_keys()) {
-    std::uint64_t candidate_key = 0;
-    {
-      Shard& shard = shard_of(band_key);
-      std::lock_guard<std::mutex> lock(shard.mu);
-      const std::uint64_t* candidate = shard.bands.find(band_key);
-      if (candidate == nullptr) continue;
-      candidate_key = *candidate;
-    }
+    const std::uint64_t* candidate = shard_of(band_key).bands.find(band_key);
+    if (candidate == nullptr) continue;
+    const std::uint64_t candidate_key = *candidate;
     if (candidate_key == key) continue;  // exact path already ruled it out
     auto entry = load_live(candidate_key, current);
     if (!entry || entry->verdict != CachedVerdict::kMalicious) continue;
@@ -105,7 +96,6 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
   }
 
   Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
   ++shard.misses;
   return std::nullopt;
 }
@@ -120,7 +110,6 @@ bool VerdictCache::insert(const FuzzyDigest& digest, CachedVerdict verdict,
   // stale or wrong verdicts to every later flow, so both are refused.
   if (digest.empty() ||
       (verdict == CachedVerdict::kBenign && inspected_bytes < config_.min_benign_bytes)) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     ++shard.rejected_insertions;
     return false;
   }
@@ -133,46 +122,34 @@ bool VerdictCache::insert(const FuzzyDigest& digest, CachedVerdict verdict,
   entry.inspected_bytes = inspected_bytes;
   entry.epoch = epoch();
 
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.exact.find(key) == nullptr &&
-        shard.exact.size() >= config_.capacity_per_shard) {
-      // Same wholesale policy as the controller's decision cache: shard
-      // flushes are rare and cheaper than per-entry LRU bookkeeping.
-      shard.exact.clear();
-      shard.bands.clear();
-      ++shard.flushes;
-    }
-    shard.exact.insert_or_assign(key, entry);
-    ++shard.insertions;
+  if (shard.exact.find(key) == nullptr && shard.exact.size() >= config_.capacity_per_shard) {
+    // Same wholesale policy as the controller's decision cache: shard
+    // flushes are rare and cheaper than per-entry LRU bookkeeping.
+    shard.exact.clear();
+    shard.bands.clear();
+    ++shard.flushes;
   }
-  // Band pointers live in the shard their band key hashes to (one lock at a
-  // time; a dangling pointer is validated and dropped on the lookup path).
+  shard.exact.insert_or_assign(key, entry);
+  ++shard.insertions;
+  // Band pointers live in the shard their band key hashes to (a dangling
+  // pointer is validated and dropped on the lookup path).
   for (const std::uint64_t band_key : digest.band_keys()) {
-    Shard& band_shard = shard_of(band_key);
-    std::lock_guard<std::mutex> lock(band_shard.mu);
-    band_shard.bands.insert_or_assign(band_key, key);
+    shard_of(band_key).bands.insert_or_assign(band_key, key);
   }
   return true;
 }
 
 std::uint64_t VerdictCache::bump_epoch(const char* reason) {
-  const std::uint64_t next = epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  const std::uint64_t next = ++epoch_;
   log_debug("verdict-cache") << "epoch -> " << next << " (" << (reason ? reason : "?") << ")";
   return next;
 }
 
-void VerdictCache::advance_epoch_to(std::uint64_t target) {
-  std::uint64_t current = epoch_.load(std::memory_order_acquire);
-  while (current < target &&
-         !epoch_.compare_exchange_weak(current, target, std::memory_order_acq_rel)) {
-  }
-}
+void VerdictCache::advance_epoch_to(std::uint64_t target) { epoch_ = std::max(epoch_, target); }
 
 VerdictCache::Counters VerdictCache::counters() const {
   Counters out;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     out.hits += shard.hits;
     out.benign_hits += shard.benign_hits;
     out.malicious_hits += shard.malicious_hits;
@@ -184,33 +161,28 @@ VerdictCache::Counters VerdictCache::counters() const {
     out.flushes += shard.flushes;
     out.entries += shard.exact.size();
   }
-  out.bytes_saved = bytes_saved_.load(std::memory_order_relaxed);
+  out.bytes_saved = bytes_saved_;
   out.epoch = epoch();
   return out;
 }
 
 std::size_t VerdictCache::size() const {
   std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    total += shard.exact.size();
-  }
+  for (const Shard& shard : shards_) total += shard.exact.size();
   return total;
 }
 
 void VerdictCache::clear() {
   for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     shard.exact.clear();
     shard.bands.clear();
   }
 }
 
 std::vector<VerdictCache::ExportedEntry> VerdictCache::export_entries() const {
-  const std::uint64_t current = epoch_.load(std::memory_order_acquire);
+  const std::uint64_t current = epoch_;
   std::vector<ExportedEntry> out;
   for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
     shard.exact.for_each([&](const std::uint64_t&, const Entry& entry) {
       if (entry.epoch != current) return;  // stale: not worth replicating
       out.push_back(ExportedEntry{entry.digest, entry.verdict, entry.rule_id, entry.severity,

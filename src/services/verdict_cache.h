@@ -21,14 +21,13 @@
 //    have cleared the learning SE's byte budget — undecided flows cannot
 //    poison the cache.
 //
-// The store is sharded (key-bit sharding over FlatHashMaps) with one mutex
-// per shard, so lookups and inserts are thread-safe.
+// The store is sharded (key-bit sharding over FlatHashMaps); a full shard
+// is flushed on its own. The simulator is single-threaded, so shards take no
+// locks.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -44,8 +43,8 @@ enum class CachedVerdict : std::uint8_t {
 
 const char* cached_verdict_name(CachedVerdict verdict);
 
-/// One cached verdict, as returned to lookers-up (a value copy: the store
-/// entry itself stays under its shard lock).
+/// One cached verdict, as returned to lookers-up (a value copy of the store
+/// entry).
 struct VerdictCacheEntry {
   CachedVerdict verdict = CachedVerdict::kBenign;
   std::uint32_t rule_id = 0;      // triggering signature (malicious only)
@@ -106,12 +105,10 @@ class VerdictCache {
   /// records may be applied by several controllers sharing one store).
   void advance_epoch_to(std::uint64_t epoch);
 
-  std::uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+  std::uint64_t epoch() const { return epoch_; }
 
   /// Credits payload bytes an SE skipped inspecting thanks to a prior hit.
-  void note_bytes_saved(std::uint64_t n) {
-    bytes_saved_.fetch_add(n, std::memory_order_relaxed);
-  }
+  void note_bytes_saved(std::uint64_t n) { bytes_saved_ += n; }
 
   /// Aggregated counters over all shards.
   Counters counters() const;
@@ -144,7 +141,6 @@ class VerdictCache {
   };
 
   struct Shard {
-    mutable std::mutex mu;
     /// digest.key() -> entry (exact-match path).
     FlatHashMap<std::uint64_t, Entry> exact;
     /// LSH band key -> candidate digest.key() (fuzzy path; last writer
@@ -171,8 +167,9 @@ class VerdictCache {
   Config config_;
   std::size_t shard_mask_ = 0;
   std::vector<Shard> shards_;
-  std::atomic<std::uint64_t> epoch_{0};
-  std::atomic<std::uint64_t> bytes_saved_{0};
+  // Plain counters: the simulator is single-threaded.
+  std::uint64_t epoch_ = 0;
+  std::uint64_t bytes_saved_ = 0;
 };
 
 }  // namespace livesec::svc

@@ -34,10 +34,38 @@ Link::~Link() {
   b_->link_ = nullptr;
 }
 
+void Link::release_arrived(int dir) {
+  std::vector<InFlight>& fifo = in_flight_[dir];
+  std::size_t& head = in_flight_head_[dir];
+  const SimTime now = sim_->now();
+  while (head < fifo.size() && fifo[head].arrival <= now) backlog_[dir] -= fifo[head++].bytes;
+  if (head == fifo.size()) {
+    fifo.clear();
+    head = 0;
+  } else if (head >= 64 && head * 2 >= fifo.size()) {
+    // A link whose queue never drains would otherwise keep one dead entry
+    // per packet; dropping the prefix once it is half the vector keeps the
+    // shift amortized O(1).
+    fifo.erase(fifo.begin(), fifo.begin() + static_cast<std::ptrdiff_t>(head));
+    head = 0;
+  }
+}
+
+std::size_t Link::backlog_bytes(int direction) const {
+  std::size_t arrived = 0;
+  const std::vector<InFlight>& fifo = in_flight_[direction];
+  for (std::size_t i = in_flight_head_[direction];
+       i < fifo.size() && fifo[i].arrival <= sim_->now(); ++i) {
+    arrived += fifo[i].bytes;
+  }
+  return backlog_[direction] - arrived;
+}
+
 void Link::enqueue(Port& from, pkt::PacketPtr packet) {
   const int dir = (&from == a_) ? 0 : 1;
   const std::size_t size = packet->wire_size();
 
+  release_arrived(dir);
   if (backlog_[dir] + size > config_.max_queue_bytes) {
     ++dropped_packets_[dir];
     ++from.dropped_;
@@ -53,18 +81,21 @@ void Link::enqueue(Port& from, pkt::PacketPtr packet) {
   backlog_[dir] += size;
 
   const SimTime arrival = done + config_.propagation_delay;
+  in_flight_[dir].push_back(InFlight{arrival, size});
+  const SimTime ingress_delay = ((dir == 0) ? b_ : a_)->owner().ingress_delay();
   // Capture kept to 32 bytes (this, packed dir+size, PacketPtr) so the
   // callback stays inside InlineFunction's inline storage; the destination
-  // port is recomputed from the direction on delivery.
+  // port is recomputed from the direction on delivery, after the receiver's
+  // ingress delay.
   const std::uint32_t size32 = static_cast<std::uint32_t>(size);
   const std::uint8_t dir8 = static_cast<std::uint8_t>(dir);
-  sim_->schedule_at(arrival, [this, dir8, size32, packet = std::move(packet)]() mutable {
-    backlog_[dir8] -= size32;
-    ++delivered_packets_[dir8];
-    delivered_bytes_[dir8] += size32;
-    Port* to = (dir8 == 0) ? b_ : a_;
-    to->receive(std::move(packet));
-  });
+  sim_->schedule_at(arrival + ingress_delay,
+                    [this, dir8, size32, packet = std::move(packet)]() mutable {
+                      ++delivered_packets_[dir8];
+                      delivered_bytes_[dir8] += size32;
+                      Port* to = (dir8 == 0) ? b_ : a_;
+                      to->receive(std::move(packet));
+                    });
 }
 
 Port& Node::add_port() {

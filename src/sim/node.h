@@ -30,7 +30,9 @@ class Port {
   /// unwired). Delivery to the peer is scheduled by the link.
   void transmit(pkt::PacketPtr packet);
 
-  /// Called by the link when a packet arrives at this port.
+  /// Called by the link once a packet has arrived at this port and waited
+  /// out the owner's ingress delay; the rx counters tick here, at
+  /// arrival + `Node::ingress_delay()`.
   void receive(pkt::PacketPtr packet);
 
   std::uint64_t tx_packets() const { return tx_packets_; }
@@ -59,6 +61,10 @@ class Port {
 /// then propagates for `propagation_delay`. When the queue backlog exceeds
 /// `max_queue_bytes` the packet is dropped (tail drop), which is what caps
 /// throughput at link capacity in every experiment of paper §V.B.1.
+///
+/// Delivery is one kernel event at arrival + the receiving node's
+/// `ingress_delay()`. The backlog still counts a packet only until its
+/// arrival, so the receiver's pipeline latency never inflates tail drops.
 class Link {
  public:
   struct Config {
@@ -79,9 +85,9 @@ class Link {
   Port& end_a() const { return *a_; }
   Port& end_b() const { return *b_; }
 
-  /// Bytes currently queued/serializing in the a->b (idx 0) or b->a (idx 1)
-  /// direction.
-  std::size_t backlog_bytes(int direction) const { return backlog_[direction]; }
+  /// Bytes queued, serializing or propagating in the a->b (idx 0) or b->a
+  /// (idx 1) direction: every packet whose arrival is still in the future.
+  std::size_t backlog_bytes(int direction) const;
 
   std::uint64_t delivered_packets() const {
     return delivered_packets_[0] + delivered_packets_[1];
@@ -98,6 +104,14 @@ class Link {
 
   /// Enqueues `packet` for transmission from `from`; drops on overflow.
   void enqueue(Port& from, pkt::PacketPtr packet);
+  /// Releases from `backlog_[dir]` every packet that has arrived by now.
+  void release_arrived(int dir);
+
+  /// A packet counted in the backlog until `arrival`.
+  struct InFlight {
+    SimTime arrival;
+    std::size_t bytes;
+  };
 
   Port* a_;
   Port* b_;
@@ -107,6 +121,11 @@ class Link {
   // direction (0 = a->b).
   SimTime busy_until_[2] = {0, 0};
   std::size_t backlog_[2] = {0, 0};
+  // Per-direction FIFO of packets still counted in `backlog_`. Arrivals are
+  // monotone per direction, so the arrived ones form a prefix; `in_flight_head_`
+  // skips it until compaction.
+  std::vector<InFlight> in_flight_[2];
+  std::size_t in_flight_head_[2] = {0, 0};
   std::uint64_t delivered_packets_[2] = {0, 0};
   std::uint64_t dropped_packets_[2] = {0, 0};
   std::uint64_t delivered_bytes_[2] = {0, 0};
@@ -132,10 +151,18 @@ class Node {
   const Port& port(PortId id) const { return *ports_.at(id); }
   std::size_t port_count() const { return ports_.size(); }
 
-  /// Invoked when a packet arrives on `in_port`.
+  /// Invoked when a packet arrives on `in_port`, `ingress_delay()` after
+  /// its last bit reached the port.
   virtual void handle_packet(PortId in_port, pkt::PacketPtr packet) = 0;
 
+  /// Fixed latency between a packet's arrival on a port and
+  /// `handle_packet`: the node's per-packet pipeline cost, applied by the
+  /// link so a hop costs one kernel event. Zero unless a subclass sets it.
+  SimTime ingress_delay() const { return ingress_delay_; }
+
  protected:
+  void set_ingress_delay(SimTime delay) { ingress_delay_ = delay; }
+
   /// Sends `packet` out of port `out`, if that port exists and is wired.
   void send(PortId out, pkt::PacketPtr packet);
 
@@ -143,6 +170,7 @@ class Node {
   Simulator* sim_;
   std::string name_;
   std::vector<std::unique_ptr<Port>> ports_;
+  SimTime ingress_delay_ = 0;
 };
 
 /// Wires two ports together with a fresh link owned by the returned pointer.

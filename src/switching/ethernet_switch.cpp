@@ -11,7 +11,9 @@ EthernetSwitch::EthernetSwitch(sim::Simulator& sim, std::string name)
     : EthernetSwitch(sim, std::move(name), Config{}) {}
 
 EthernetSwitch::EthernetSwitch(sim::Simulator& sim, std::string name, Config config)
-    : Node(sim, std::move(name)), config_(config) {}
+    : Node(sim, std::move(name)), config_(config) {
+  set_ingress_delay(config_.forwarding_delay);
+}
 
 void EthernetSwitch::set_port_blocked(PortId port, bool blocked) { blocked_[port] = blocked; }
 
@@ -91,47 +93,42 @@ void EthernetSwitch::handle_packet(PortId in_port, pkt::PacketPtr packet) {
   if (out == kInvalidPort) {
     flood(in_port, packet);
   } else if (out != in_logical) {
-    forward(out, packet, *packet);
+    forward(out, packet);
   }
   // out == in_logical: destination is back where it came from; drop
   // (standard switch behaviour — the frame already reached that segment).
 }
 
-void EthernetSwitch::forward(PortId out, pkt::PacketPtr packet, const pkt::Packet& for_hash) {
-  const PortId egress = resolve_egress(out, for_hash);
+void EthernetSwitch::forward(PortId out, pkt::PacketPtr packet) {
+  const PortId egress = resolve_egress(out, *packet);
   if (egress == kInvalidPort) return;
   ++forwarded_;
   if (out >= kBondBase) ++member_tx_[egress];
-  simulator().schedule(config_.forwarding_delay,
-                       [this, egress, packet = std::move(packet)]() mutable {
-                         send(egress, std::move(packet));
-                       });
+  send(egress, std::move(packet));
 }
 
 void EthernetSwitch::flood(PortId in_port, const pkt::PacketPtr& packet) {
   ++flooded_;
   const PortId in_logical = logical_port(in_port);
-  simulator().schedule(config_.forwarding_delay, [this, in_port, in_logical, packet]() {
-    for (PortId p = 0; p < port_count(); ++p) {
-      if (p == in_port || port_blocked(p)) continue;
-      // Bond members: only the designated (first unblocked) member floods,
-      // and never back into the ingress bond.
-      auto bond_it = member_to_bond_.find(p);
-      if (bond_it != member_to_bond_.end()) {
-        if (bond_it->second == in_logical) continue;
-        const auto& members = bond_members(bond_it->second);
-        PortId designated = kInvalidPort;
-        for (PortId member : members) {
-          if (!port_blocked(member)) {
-            designated = member;
-            break;
-          }
+  for (PortId p = 0; p < port_count(); ++p) {
+    if (p == in_port || port_blocked(p)) continue;
+    // Bond members: only the designated (first unblocked) member floods,
+    // and never back into the ingress bond.
+    auto bond_it = member_to_bond_.find(p);
+    if (bond_it != member_to_bond_.end()) {
+      if (bond_it->second == in_logical) continue;
+      const auto& members = bond_members(bond_it->second);
+      PortId designated = kInvalidPort;
+      for (PortId member : members) {
+        if (!port_blocked(member)) {
+          designated = member;
+          break;
         }
-        if (p != designated) continue;
       }
-      send(p, packet);
+      if (p != designated) continue;
     }
-  });
+    send(p, packet);
+  }
 }
 
 }  // namespace livesec::sw

@@ -30,7 +30,9 @@ class EthernetSwitch : public sim::Node {
   struct Config {
     /// Learned entries are forgotten after this idle time (0 = never).
     SimTime mac_aging = 300 * kSecond;
-    /// Per-packet forwarding latency (store-and-forward pipeline cost).
+    /// Per-packet forwarding latency (store-and-forward pipeline cost). It
+    /// is the node's ingress delay: the link applies it between arrival and
+    /// `handle_packet`, so learning and forwarding both happen after it.
     SimTime forwarding_delay = 2 * kMicrosecond;
   };
 
@@ -68,7 +70,7 @@ class EthernetSwitch : public sim::Node {
     SimTime last_seen;
   };
 
-  void forward(PortId out, pkt::PacketPtr packet, const pkt::Packet& for_hash);
+  void forward(PortId out, pkt::PacketPtr packet);
   void flood(PortId in_port, const pkt::PacketPtr& packet);
   /// Maps a physical ingress port to its learning identity (bond or self).
   PortId logical_port(PortId physical) const;

@@ -13,6 +13,7 @@ OpenFlowSwitch::OpenFlowSwitch(sim::Simulator& sim, std::string name, DatapathId
 OpenFlowSwitch::OpenFlowSwitch(sim::Simulator& sim, std::string name, DatapathId dpid,
                                Config config)
     : Node(sim, std::move(name)), dpid_(dpid), config_(config) {
+  set_ingress_delay(config_.processing_delay);
   table_.set_removal_callback([this](const of::FlowEntry& entry, of::RemovalReason reason) {
     if (channel_ == nullptr) return;
     of::FlowRemoved removed;
@@ -47,10 +48,7 @@ void OpenFlowSwitch::connect_controller(of::SecureChannel& channel) {
 }
 
 void OpenFlowSwitch::handle_packet(PortId in_port, pkt::PacketPtr packet) {
-  simulator().schedule(config_.processing_delay,
-                       [this, in_port, packet = std::move(packet)]() mutable {
-                         process(in_port, std::move(packet));
-                       });
+  process(in_port, std::move(packet));
 }
 
 void OpenFlowSwitch::process(PortId in_port, pkt::PacketPtr packet) {

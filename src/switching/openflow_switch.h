@@ -32,7 +32,8 @@ class OpenFlowSwitch : public sim::Node, public of::SwitchEndpoint {
     /// Per-packet pipeline cost (flow table lookup + forwarding). The
     /// paper's OvS 1.1.0 userspace datapath on Xeon 5500 costs tens of
     /// microseconds per packet; this is pure pipeline latency (packets
-    /// overlap), not a rate limit.
+    /// overlap), not a rate limit. It is the node's ingress delay: the link
+    /// applies it between arrival and `handle_packet`.
     SimTime processing_delay = 25 * kMicrosecond;
     /// Max packets parked awaiting a controller decision.
     std::size_t buffer_capacity = 1024;
@@ -66,8 +67,11 @@ class OpenFlowSwitch : public sim::Node, public of::SwitchEndpoint {
   std::uint64_t miss_drops() const { return miss_drops_; }
   std::uint64_t packets_forwarded() const { return packets_forwarded_; }
 
- private:
+ protected:
+  /// Runs `packet` through the flow table now.
   void process(PortId in_port, pkt::PacketPtr packet);
+
+ private:
   /// Applies one flow-mod's table mutation (no buffered-packet release).
   void apply_flow_mod(const of::FlowMod& fm);
   /// Releases a parked packet through the current table, if `buffer_id` set.

@@ -27,16 +27,18 @@ void WifiAccessPoint::handle_packet(PortId in_port, pkt::PacketPtr packet) {
     return;
   }
   // Station frames first contend for the shared radio: serialize at the
-  // radio rate behind whatever is already in the air.
-  const SimTime now = simulator().now();
+  // radio rate behind whatever was already in the air when the frame
+  // arrived, then pay the pipeline cost. The link delivered the frame one
+  // ingress delay after its arrival, so both are measured from there.
+  const SimTime arrived = simulator().now() - ingress_delay();
   const SimTime airtime = static_cast<SimTime>(static_cast<double>(packet->wire_size()) * 8.0 /
                                                config_.radio_bps * kSecond);
-  const SimTime start = radio_busy_until_ > now ? radio_busy_until_ : now;
+  const SimTime start = radio_busy_until_ > arrived ? radio_busy_until_ : arrived;
   radio_busy_until_ = start + airtime;
-  const SimTime delay = radio_busy_until_ - now;
-  simulator().schedule(delay, [this, in_port, packet = std::move(packet)]() mutable {
-    OpenFlowSwitch::handle_packet(in_port, std::move(packet));
-  });
+  simulator().schedule_at(radio_busy_until_ + ingress_delay(),
+                          [this, in_port, packet = std::move(packet)]() mutable {
+                            process(in_port, std::move(packet));
+                          });
 }
 
 }  // namespace livesec::sw

@@ -193,6 +193,66 @@ TEST(Link, FullDuplexDirectionsAreIndependent) {
   EXPECT_EQ(b.port(0).rx_packets(), 100u);
 }
 
+/// A sink whose pipeline cost is its ingress delay: the link calls
+/// `handle_packet` that long after the packet's arrival.
+class DelayedSinkNode : public SinkNode {
+ public:
+  DelayedSinkNode(Simulator& sim, SimTime delay) : SinkNode(sim, "delayed") {
+    set_ingress_delay(delay);
+  }
+};
+
+TEST(Link, DeliversAfterReceiverIngressDelay) {
+  Simulator sim;
+  SourceNode src(sim);
+  const SimTime delay = 25 * kMicrosecond;
+  DelayedSinkNode dst(sim, delay);
+  Link::Config config;
+  config.bandwidth_bps = 1e9;
+  config.propagation_delay = 5 * kMicrosecond;
+  auto link = connect(sim, src.port(0), dst.port(0), config);
+
+  auto p = test_packet(1000);
+  const SimTime serialization =
+      static_cast<SimTime>(static_cast<double>(p->wire_size()) * 8.0 / 1e9 * kSecond);
+  src.emit(p);
+  src.emit(p);
+  sim.run();
+  ASSERT_EQ(dst.arrivals.size(), 2u);
+  EXPECT_EQ(dst.arrivals[0].first, serialization + config.propagation_delay + delay);
+  EXPECT_EQ(dst.arrivals[1].first, 2 * serialization + config.propagation_delay + delay);
+  EXPECT_EQ(dst.port(0).rx_packets(), 2u);
+}
+
+TEST(Link, BacklogIsReleasedAtArrivalNotAfterIngressDelay) {
+  // 1 GbE, 1000 B payloads every 10 us: each packet arrives ~13.4 us after
+  // it is sent, so at most two are in flight and none is dropped. Counting
+  // a packet until arrival + 25 us would hold four and tail-drop.
+  const auto run = [](SimTime ingress_delay) {
+    Simulator sim;
+    SourceNode src(sim);
+    DelayedSinkNode dst(sim, ingress_delay);
+    Link::Config config;
+    config.max_queue_bytes = 3500;
+    auto link = connect(sim, src.port(0), dst.port(0), config);
+    std::vector<std::size_t> backlog;
+    for (int i = 0; i < 50; ++i) {
+      const SimTime at = i * 10 * kMicrosecond;
+      sim.schedule_at(at, [&src] { src.emit(test_packet(1000)); });
+      sim.schedule_at(at + 1 * kMicrosecond, [&] { backlog.push_back(link->backlog_bytes(0)); });
+    }
+    sim.run();
+    EXPECT_EQ(link->dropped_packets(), 0u);
+    EXPECT_EQ(dst.arrivals.size(), 50u);
+    EXPECT_EQ(link->backlog_bytes(0), 0u);
+    return backlog;
+  };
+  const std::vector<std::size_t> plain = run(0);
+  ASSERT_EQ(plain.size(), 50u);
+  EXPECT_EQ(*std::max_element(plain.begin(), plain.end()), 2 * test_packet(1000)->wire_size());
+  EXPECT_EQ(run(25 * kMicrosecond), plain);
+}
+
 TEST(Port, UnwiredTransmitCountsAsDrop) {
   Simulator sim;
   SourceNode src(sim);

@@ -2,6 +2,8 @@
 // OpenFlow datapath, Wi-Fi AP radio contention.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "openflow/channel.h"
 #include "sim/simulator.h"
 #include "switching/ethernet_switch.h"
@@ -15,10 +17,24 @@ namespace {
 class Endpoint : public sim::Node {
  public:
   Endpoint(sim::Simulator& sim, std::string name) : Node(sim, std::move(name)) { add_port(); }
-  void handle_packet(PortId, pkt::PacketPtr packet) override { received.push_back(packet); }
+  void handle_packet(PortId, pkt::PacketPtr packet) override {
+    if (on_receive) on_receive(*packet);
+    times.push_back(simulator().now());
+    received.push_back(packet);
+  }
   void emit(pkt::PacketPtr p) { send(0, std::move(p)); }
   std::vector<pkt::PacketPtr> received;
+  std::vector<SimTime> times;  // sim time of each handle_packet
+  std::function<void(const pkt::Packet&)> on_receive;
 };
+
+/// Serialization time of `p` at `bps`, rounded as sim::Link rounds it.
+SimTime wire_time(const pkt::PacketPtr& p, double bps) {
+  return static_cast<SimTime>(static_cast<double>(p->wire_size()) * 8.0 / bps * kSecond);
+}
+
+/// sim::Link's default propagation delay.
+constexpr SimTime kPropagation = 5 * kMicrosecond;
 
 pkt::PacketPtr frame(std::uint64_t src, std::uint64_t dst, std::size_t payload = 100) {
   return pkt::PacketBuilder()
@@ -407,6 +423,150 @@ TEST(WifiAccessPoint, RadioCapsAggregateStationThroughput) {
   // Aggregate throughput must be pinned near the 43 Mbps radio, not 2x.
   EXPECT_LT(rate, 46e6);
   EXPECT_GT(rate, 38e6);
+}
+
+// --- Per-hop pipeline timing ------------------------------------------------------
+// A switch's pipeline cost (processing_delay / forwarding_delay) sits between
+// a packet's arrival and its table lookup or MAC learn. These tests pin the
+// observable timing, not how the kernel schedules it.
+
+TEST(EthernetSwitch, LearnsSourceBeforeForwarding) {
+  LegacyFixture f;
+  PortId learned_at_delivery = kInvalidPort;
+  f.b.on_receive = [&](const pkt::Packet&) {
+    learned_at_delivery = f.sw.learned_port(MacAddress::from_uint64(1));
+  };
+  auto p = frame(1, 2);
+  f.a.emit(p);  // unknown destination: flood
+  f.sim.run();
+  EXPECT_EQ(learned_at_delivery, 0u);
+  ASSERT_EQ(f.b.times.size(), 1u);
+  const SimTime hop = wire_time(p, 1e9) + kPropagation;
+  EXPECT_EQ(f.b.times[0], hop + EthernetSwitch::Config{}.forwarding_delay + hop);
+
+  f.b.emit(frame(2, 1));  // learned: unicast back to a only
+  f.sim.run();
+  EXPECT_EQ(f.a.received.size(), 1u);
+  EXPECT_EQ(f.c.received.size(), 1u);
+}
+
+TEST(OpenFlowSwitch, ForwardsAfterProcessingDelay) {
+  OfFixture f;
+  auto p = frame(1, 2);
+  of::FlowMod mod;
+  mod.entry.match = of::Match::exact(0, pkt::FlowKey::from_packet(*p));
+  mod.entry.actions = of::output_to(1);
+  f.channel.send_to_switch(mod);
+  f.sim.run();
+
+  const SimTime sent = f.sim.now();
+  f.host.emit(p);
+  f.sim.run();
+  ASSERT_EQ(f.peer.times.size(), 1u);
+  const SimTime hop = wire_time(p, 1e9) + kPropagation;
+  EXPECT_EQ(f.peer.times[0], sent + hop + OpenFlowSwitch::Config{}.processing_delay + hop);
+  EXPECT_EQ(f.sw.port(0).rx_packets(), 1u);
+  EXPECT_EQ(f.sw.port(1).tx_packets(), 1u);
+}
+
+TEST(OpenFlowSwitch, FlowModInsideProcessingWindowAppliesToPacket) {
+  // The packet arrives at A and is looked up at A + processing_delay; a
+  // FlowMod landing in between already governs it, one landing after does
+  // not.
+  const auto run = [](SimTime flow_mod_after_arrival) {
+    OfFixture f;
+    auto p = frame(1, 2);
+    of::FlowMod mod;
+    mod.entry.match = of::Match::exact(0, pkt::FlowKey::from_packet(*p));
+    mod.entry.actions = of::output_to(1);
+    const SimTime lands = f.sim.now() + f.channel.latency();
+    const SimTime arrival = lands - flow_mod_after_arrival;
+    f.channel.send_to_switch(mod);
+    f.sim.schedule_at(arrival - wire_time(p, 1e9) - kPropagation, [&f, p] { f.host.emit(p); });
+    f.sim.run();
+    return std::pair{f.peer.received.size(), f.sw.packet_ins_sent()};
+  };
+  const SimTime window = OpenFlowSwitch::Config{}.processing_delay;
+  EXPECT_EQ(run(window / 2), std::pair(std::size_t{1}, std::uint64_t{0}));
+  EXPECT_EQ(run(window - 1), std::pair(std::size_t{1}, std::uint64_t{0}));
+  EXPECT_EQ(run(window + 1), std::pair(std::size_t{0}, std::uint64_t{1}));
+}
+
+TEST(OpenFlowSwitch, TailDropMatchesZeroDelaySink) {
+  // Same burst into a 25 us switch and into a zero-delay endpoint: a
+  // 3.5 KB queue, a back-to-back burst of 8 (tail drops), then one packet
+  // every 10 us (no drops: each arrives ~13 us after it is sent). The
+  // backlog counts a packet until its arrival, whatever the receiver's
+  // pipeline cost.
+  struct Outcome {
+    std::uint64_t dropped;
+    std::vector<std::size_t> backlog;
+    bool operator==(const Outcome&) const = default;
+  };
+  const auto run = [](auto make_sink) {
+    sim::Simulator sim;
+    Endpoint src(sim, "src");
+    auto sink = make_sink(sim);
+    sim::Link::Config config;
+    config.max_queue_bytes = 3500;
+    auto link = sim::connect(sim, src.port(0), sink->port(0), config);
+    Outcome out;
+    for (int i = 0; i < 8; ++i) src.emit(frame(1, 2, 1000));
+    for (int i = 0; i < 40; ++i) {
+      const SimTime at = 100 * kMicrosecond + i * 10 * kMicrosecond;
+      sim.schedule_at(at, [&src] { src.emit(frame(1, 2, 1000)); });
+      sim.schedule_at(at + kMicrosecond, [&] { out.backlog.push_back(link->backlog_bytes(0)); });
+    }
+    sim.run();
+    out.dropped = link->dropped_packets();
+    return out;
+  };
+  const Outcome plain =
+      run([](sim::Simulator& sim) { return std::make_unique<Endpoint>(sim, "sink"); });
+  const Outcome pipelined = run([](sim::Simulator& sim) {
+    auto sw = std::make_unique<OpenFlowSwitch>(sim, "ovs", 1);
+    sw->add_port(PortRole::kLegacySwitching);
+    return sw;
+  });
+  EXPECT_EQ(plain.dropped, 5u);  // 3 of the burst fit in 3.5 KB
+  ASSERT_EQ(plain.backlog.size(), 40u);
+  EXPECT_EQ(plain.backlog.back(), 2 * frame(1, 2, 1000)->wire_size());
+  EXPECT_EQ(pipelined, plain);
+}
+
+TEST(WifiAccessPoint, StationFrameProcessedAfterRadioThenPipeline) {
+  sim::Simulator sim;
+  WifiAccessPoint ap(sim, "ap", 10);
+  RecordingController controller;
+  of::SecureChannel channel(sim, ap, controller);
+  Endpoint sta(sim, "sta"), uplink(sim, "uplink");
+  std::vector<std::unique_ptr<sim::Link>> links;
+  links.push_back(sim::connect(sim, sta.port(0), ap.add_station_port()));
+  links.push_back(sim::connect(sim, uplink.port(0), ap.add_uplink_port()));
+  ap.connect_controller(channel);
+  auto p = frame(1, 99, 1400);
+  of::FlowMod mod;
+  mod.entry.match = of::Match::exact(0, pkt::FlowKey::from_packet(*p));
+  mod.entry.actions = of::output_to(1);
+  channel.send_to_switch(mod);
+  sim.run();
+
+  // Two back-to-back frames: the second waits for the radio behind the
+  // first, then both pay the AP's processing delay.
+  const SimTime sent = sim.now();
+  sta.emit(p);
+  sta.emit(p);
+  sim.run();
+  ASSERT_EQ(uplink.times.size(), 2u);
+  const WifiAccessPoint::WifiConfig wifi;
+  const SimTime wire = wire_time(p, 1e9);
+  const SimTime air = wire_time(p, wifi.radio_bps);
+  const SimTime arrival = sent + wire + kPropagation;
+  const SimTime radio_busy_until_1 = arrival + air;
+  const SimTime radio_busy_until_2 = radio_busy_until_1 + air;
+  const SimTime processing = wifi.switch_config.processing_delay;
+  EXPECT_EQ(uplink.times[0], radio_busy_until_1 + processing + wire + kPropagation);
+  EXPECT_EQ(uplink.times[1], radio_busy_until_2 + processing + wire + kPropagation);
 }
 
 }  // namespace
