@@ -18,6 +18,16 @@ mon::EventPipeline::Config event_pipeline_config(const Controller::Config& confi
   out.rollup_bucket = config.event_rollup_bucket;
   return out;
 }
+
+/// Keys whose session_reverse is not an involution (see icmp_reverse_).
+bool is_icmp(const pkt::FlowKey& key) {
+  return key.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kIcmp);
+}
+
+pkt::FlowKey with_dl_dst(pkt::FlowKey key, const MacAddress& mac) {
+  key.dl_dst = mac;
+  return key;
+}
 }  // namespace
 
 Controller::Controller(sim::Simulator& sim) : Controller(sim, Config{}) {}
@@ -32,12 +42,8 @@ Controller::Controller(sim::Simulator& sim, Config config)
       lb_(config.lb_strategy),
       events_(event_pipeline_config(config)),
       flows_by_host_(config.routing_shards) {
-  // Pre-size the per-flow tables: flow setup inserts into each of these on
-  // every new flow, and growing them one rehash at a time under load puts
-  // the rehash right on the packet-in latency path.
-  flows_.reserve(1 << 12);
-  reverse_index_.reserve(1 << 12);
-  cookie_index_.reserve(1 << 12);
+  // The session tables are not pre-sized: they grow with the live flows
+  // (DESIGN.md §9), so a controller that sets up a few flows stays small.
   decision_cache_.reserve(std::min<std::size_t>(config_.decision_cache_capacity, 1 << 12));
   install_policy_observer();
   install_event_observer();
@@ -192,10 +198,10 @@ void Controller::handle_switch_disconnected(DatapathId dpid) {
   topology_.remove_switch(dpid);
   // Tear down every flow with a hop (ingress, egress or SE steering entry)
   // on the dead switch: its FlowRemoved can never arrive, so without this
-  // the FlowRecord and its index entries leak forever, and entries on
+  // the session and its index entries leak forever, and entries on
   // surviving switches keep forwarding into a black hole. A flow's entries
   // sit only on its endpoints' switches and its chain SEs' switches, so the
-  // per-host index plus an SE sweep covers them all without scanning flows_
+  // per-host index plus an SE sweep covers them all without a full scan
   // (hosts that moved off this switch already had their stale flows torn
   // down when the move was learned).
   for (const HostLocation& host : routing_.remove_switch(dpid)) {
@@ -442,13 +448,7 @@ void Controller::handle_daemon_event(const SeRecord& se, const svc::EventMessage
   // the original end-to-end flow, and fold reverse-direction reports onto
   // the forward session key.
   pkt::FlowKey original = event.flow;
-  if (auto it = steered_index_.find(event.flow); it != steered_index_.end()) {
-    original = it->second;
-  }
-  if (auto it = reverse_index_.find(original); it != reverse_index_.end()) {
-    original = it->second;
-  }
-  auto record_it = flows_.find(original);
+  FlowRecord* record = resolve_reported(original);
 
   switch (event.kind) {
     case svc::EventKind::kAttackDetected:
@@ -473,31 +473,29 @@ void Controller::handle_daemon_event(const SeRecord& se, const svc::EventMessage
       const auto proto = static_cast<svc::l7::AppProtocol>(event.rule_id);
       raise(mon::EventType::kProtocolIdentified, original.dl_src.to_string(),
             svc::l7::app_protocol_name(proto), se.dpid, se.se_id, 0, &original);
-      if (record_it != flows_.end()) {
-        FlowRecord& record = record_it->second;
-        if (record.app == svc::l7::AppProtocol::kUnknown) {
-          record.app = proto;
-          monitor_.record_flow_identified(record.user, proto);
-          // Aggregate flow control (paper §IV.C): too many active flows of
-          // this app for this user => block the newest flow at the ingress.
-          if (!flow_control_.admits(monitor_, record.user, proto)) {
-            flow_control_.record_rejection();
-            blocked_flows_.insert_or_assign(
-                record.key, BlockedFlowInfo{record.ingress_dpid, record.ingress_port});
-            replicate(
-                ha::FlowBlockedRecord{record.key, record.ingress_dpid, record.ingress_port});
-            forget_offload(record.key);
-            record.blocked = true;
-            of::FlowMod mod;
-            mod.command = of::FlowModCommand::kModifyStrict;
-            mod.entry.match = of::Match::exact(record.ingress_port, record.key);
-            mod.entry.priority = config_.flow_priority;
-            mod.entry.actions = of::drop();
-            send_flow_mod(record.ingress_dpid, mod);
-            raise(mon::EventType::kAggregateLimitHit, record.user.to_string(),
-                  svc::l7::app_protocol_name(proto), record.ingress_dpid, se.se_id, 3,
-                  &record.key);
-          }
+      if (record != nullptr && record->app == svc::l7::AppProtocol::kUnknown) {
+        const MacAddress user = record->key.dl_src;
+        record->app = proto;
+        monitor_.record_flow_identified(user, proto);
+        // Aggregate flow control (paper §IV.C): too many active flows of
+        // this app for this user => block the newest flow at the ingress.
+        if (!flow_control_.admits(monitor_, user, proto)) {
+          flow_control_.record_rejection();
+          blocked_flows_.insert_or_assign(
+              record->key, BlockedFlowInfo{record->ingress_dpid, record->ingress_port});
+          replicate(
+              ha::FlowBlockedRecord{record->key, record->ingress_dpid, record->ingress_port});
+          forget_offload(record->key);
+          record->blocked = true;
+          of::FlowMod mod;
+          mod.command = of::FlowModCommand::kModifyStrict;
+          mod.entry.match = of::Match::exact(record->ingress_port, record->key);
+          mod.entry.priority = config_.flow_priority;
+          mod.entry.actions = of::drop();
+          send_flow_mod(record->ingress_dpid, mod);
+          raise(mon::EventType::kAggregateLimitHit, user.to_string(),
+                svc::l7::app_protocol_name(proto), record->ingress_dpid, se.se_id, 3,
+                &record->key);
         }
       }
       break;
@@ -507,32 +505,29 @@ void Controller::handle_daemon_event(const SeRecord& se, const svc::EventMessage
 
 void Controller::block_flow_at_ingress(const pkt::FlowKey& original, std::uint64_t se_id,
                                        std::uint8_t severity) {
-  auto record_it = flows_.find(original);
+  FlowRecord* record = find_session(original);
   BlockedFlowInfo ingress;
-  if (record_it != flows_.end()) {
-    ingress = BlockedFlowInfo{record_it->second.ingress_dpid, record_it->second.ingress_port};
-  }
+  if (record != nullptr) ingress = BlockedFlowInfo{record->ingress_dpid, record->ingress_port};
   blocked_flows_.insert_or_assign(original, ingress);
   replicate(ha::FlowBlockedRecord{original, ingress.ingress_dpid, ingress.ingress_port});
   // A blocked flow must never replay a benign cut-through.
   forget_offload(original);
-  if (record_it != flows_.end() && !record_it->second.blocked) {
-    FlowRecord& record = record_it->second;
-    record.blocked = true;
+  if (record != nullptr && !record->blocked) {
+    record->blocked = true;
     // Paper §IV.A: "modify relevant flow entries with the drop action in
     // the ingress AS switch, to block this flow at the entrance".
     of::FlowMod mod;
     mod.command = of::FlowModCommand::kModifyStrict;
-    mod.entry.match = of::Match::exact(record.ingress_port, record.key);
+    mod.entry.match = of::Match::exact(record->ingress_port, record->key);
     mod.entry.priority = config_.flow_priority;
     mod.entry.actions = of::drop();
     // Bounds the entry if the modify falls back to an insert (entry expired
     // under the in-flight event) — same lifetime as install_drop().
     mod.entry.idle_timeout = config_.flow_idle_timeout * 3;
-    send_flow_mod(record.ingress_dpid, mod);
+    send_flow_mod(record->ingress_dpid, mod);
     ++stats_.flows_blocked_by_event;
     raise(mon::EventType::kFlowBlocked, original.dl_src.to_string(),
-          "blocked at ingress dpid=" + std::to_string(record.ingress_dpid), record.ingress_dpid,
+          "blocked at ingress dpid=" + std::to_string(record->ingress_dpid), record->ingress_dpid,
           se_id, severity, &original);
   }
 }
@@ -549,12 +544,7 @@ void Controller::handle_daemon_verdict(const SeRecord& se, const svc::VerdictMes
   // Same key mapping as event reports: steered variant -> original forward
   // key, reverse direction folded onto the session's forward key.
   pkt::FlowKey original = verdict.flow;
-  if (auto it = steered_index_.find(original); it != steered_index_.end()) {
-    original = it->second;
-  }
-  if (auto it = reverse_index_.find(original); it != reverse_index_.end()) {
-    original = it->second;
-  }
+  FlowRecord* record = resolve_reported(original);
 
   switch (verdict.verdict) {
     case svc::FlowVerdict::kMalicious:
@@ -565,23 +555,19 @@ void Controller::handle_daemon_verdict(const SeRecord& se, const svc::VerdictMes
       block_flow_at_ingress(original, se.se_id, verdict.severity);
       break;
     case svc::FlowVerdict::kBenign: {
-      if (!config_.enable_flow_offload) break;
-      auto record_it = flows_.find(original);
-      if (record_it == flows_.end()) break;
-      FlowRecord& record = record_it->second;
-      if (record.blocked || record.se_ids.empty()) break;
-      if (std::find(record.benign_se_ids.begin(), record.benign_se_ids.end(), se.se_id) ==
-          record.benign_se_ids.end()) {
-        record.benign_se_ids.push_back(se.se_id);
+      if (!config_.enable_flow_offload || record == nullptr) break;
+      if (record->blocked || record->se_ids.empty()) break;
+      auto& benign = record->benign_se_ids;
+      if (std::find(benign.begin(), benign.end(), se.se_id) == benign.end()) {
+        benign.push_back(se.se_id);
       }
       // Cut through only once every SE of the chain has cleared the flow —
       // one engine's benign says nothing about what the next would find.
       const bool all_clear =
-          std::all_of(record.se_ids.begin(), record.se_ids.end(), [&](std::uint64_t id) {
-            return std::find(record.benign_se_ids.begin(), record.benign_se_ids.end(), id) !=
-                   record.benign_se_ids.end();
+          std::all_of(record->se_ids.begin(), record->se_ids.end(), [&](std::uint64_t id) {
+            return std::find(benign.begin(), benign.end(), id) != benign.end();
           });
-      if (all_clear) offload_flow(original, record, se, verdict.inspected_bytes);
+      if (all_clear) offload_flow(*record, se, verdict.inspected_bytes);
       break;
     }
     case svc::FlowVerdict::kKeepInspecting:
@@ -755,7 +741,7 @@ void Controller::handle_dhcp(DatapathId dpid, const of::PacketIn& pin) {
 
 pkt::FlowKey Controller::session_reverse(const pkt::FlowKey& key) {
   pkt::FlowKey rev = key.reversed();
-  if (key.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kIcmp)) {
+  if (is_icmp(key)) {
     // ICMP echo: the reply is type 0, the request type 8 (stored in tp_src).
     rev.tp_src = key.tp_src == 8 ? 0 : 8;
     rev.tp_dst = 0;
@@ -801,13 +787,13 @@ void Controller::handle_flow_setup(DatapathId dpid, const of::PacketIn& pin) {
   // Duplicate packet-in after install: packets of this flow raced to the
   // controller before the entries landed on the switch. Release the parked
   // packet through the already-computed ingress actions.
-  if (auto existing = flows_.find(key); existing != flows_.end()) {
+  if (const FlowRecord* existing = find_session(key)) {
     auto sw = switches_.find(dpid);
     if (sw != switches_.end() && sw->second.channel != nullptr) {
       of::PacketOut out;
       out.buffer_id = pin.buffer_id;
       out.in_port = pin.in_port;
-      out.actions = existing->second.ingress_actions;
+      out.actions = existing->ingress_actions;
       sw->second.channel->send_to_switch(std::move(out));
     }
     return;
@@ -893,7 +879,6 @@ std::optional<Controller::CachedDecision> Controller::build_decision(DatapathId 
   // class verdict is the per-flow verdict.
   const Policy* policy = policies_.lookup(cls);
   decision.action = policy != nullptr ? policy->action : policies_.default_action();
-  decision.policy_id = policy != nullptr ? policy->id : 0;
   decision.policy_name = policy != nullptr ? policy->name : "default-deny";
   if (decision.action == PolicyAction::kDeny) return decision;
 
@@ -1063,7 +1048,6 @@ std::optional<Controller::CachedDecision> Controller::build_direct_decision(
   CachedDecision decision;
   decision.action = PolicyAction::kAllow;
   const Policy* policy = policies_.lookup(key);
-  decision.policy_id = policy != nullptr ? policy->id : 0;
   decision.policy_name = policy != nullptr ? policy->name : "default";
   // Concrete-key templates for one flow; never memoized in the class cache.
   decision.cacheable = false;
@@ -1086,8 +1070,9 @@ std::optional<Controller::CachedDecision> Controller::build_direct_decision(
   return decision;
 }
 
-void Controller::offload_flow(const pkt::FlowKey& key, FlowRecord& record, const SeRecord& se,
+void Controller::offload_flow(FlowRecord& record, const SeRecord& se,
                               std::uint64_t inspected_bytes) {
+  const pkt::FlowKey& key = record.key;
   auto direct = build_direct_decision(key);
   if (!direct) return;  // an endpoint location evaporated: keep the redirect
 
@@ -1095,8 +1080,7 @@ void Controller::offload_flow(const pkt::FlowKey& key, FlowRecord& record, const
   for (SwitchMods& sm : direct->switches) {
     for (of::FlowMod& mod : sm.mods) new_mods.emplace_back(sm.dpid, std::move(mod));
   }
-  std::vector<std::pair<DatapathId, of::Match>> new_installed;
-  new_installed.reserve(new_mods.size());
+  decltype(record.installed) new_installed;
   for (const auto& [mod_dpid, mod] : new_mods) new_installed.emplace_back(mod_dpid, mod.entry.match);
 
   // Rewrite in place: entries whose (dpid, match) survive — the ingress and
@@ -1170,19 +1154,14 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
   // so the two-hop route unicasts instead of flooding.
   for (const auto& [mac, ip, at] : decision.prime) prime_fabric_location(mac, ip, at);
 
-  FlowRecord record;
-  record.key = key;
+  // Fills a (usually reused) slab slot in place.
+  const std::uint32_t slot = open_session(key);
+  FlowRecord& record = session_at(slot);
   record.ingress_dpid = dpid;
   record.ingress_port = pin.in_port;
-  record.policy_id = decision.policy_id;
-  record.se_ids = decision.se_ids;
-  record.user = key.dl_src;
-  record.started_at = sim_->now();
+  for (std::uint64_t se_id : decision.se_ids) record.se_ids.push_back(se_id);
   record.ingress_actions = decision.ingress_actions;
-  const std::uint64_t cookie = next_cookie_++;
-  record.cookie = cookie;
-
-  record.installed.reserve(4);
+  const std::uint64_t cookie = record.cookie;
 
   // The templates match the flow *class*; patch the zeroed source-port field
   // back to this flow's value (forward entries: tp_src, reverse: tp_dst).
@@ -1263,20 +1242,12 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
     }
   }
 
-  record.reverse_key = session_reverse(key);
-  reverse_index_.insert_or_assign(record.reverse_key, key);
-  cookie_index_.emplace(cookie, key);
-
   // Register the steered variants so SE event reports resolve to this flow.
+  const pkt::FlowKey reverse = session_reverse(key);
   for (const MacAddress& se_mac : decision.se_macs) {
-    pkt::FlowKey steered = key;
-    steered.dl_dst = se_mac;
-    steered_index_[steered] = key;
-    record.steered_keys.push_back(steered);
-    pkt::FlowKey steered_rev = record.reverse_key;
-    steered_rev.dl_dst = se_mac;
-    steered_index_[steered_rev] = key;
-    record.steered_keys.push_back(steered_rev);
+    steered_.insert_or_assign(with_dl_dst(key, se_mac), slot);
+    steered_.insert_or_assign(with_dl_dst(reverse, se_mac), slot);
+    record.se_macs.push_back(se_mac);
   }
 
   ++stats_.flows_installed;
@@ -1286,8 +1257,6 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
                                ? ""
                                : " via " + std::to_string(decision.se_ids.size()) + " SE"),
         dpid, 0, 0, &key);
-  index_flow_host(key, record);
-  flows_.insert_or_assign(key, std::move(record));
 }
 
 // --- pending setups (packet-in suppression) ------------------------------------------
@@ -1337,8 +1306,8 @@ void Controller::retry_pending(const std::vector<pkt::FlowKey>& keys) {
     pin.packet = pending.packet;
     handle_flow_setup(pending.waiters.front().dpid, pin);
 
-    auto flow = flows_.find(key);
-    if (flow == flows_.end()) continue;  // denied, or parked again
+    const FlowRecord* flow = find_session(key);
+    if (flow == nullptr) continue;  // denied, or parked again
     ++stats_.fastpath.pending_setups_completed;
     // Release the suppressed duplicates' buffered packets through the
     // now-installed ingress actions.
@@ -1349,7 +1318,7 @@ void Controller::retry_pending(const std::vector<pkt::FlowKey>& keys) {
       of::PacketOut out;
       out.buffer_id = waiter.buffer_id;
       out.in_port = waiter.in_port;
-      out.actions = flow->second.ingress_actions;
+      out.actions = flow->ingress_actions;
       sw->second.channel->send_to_switch(std::move(out));
     }
   }
@@ -1366,16 +1335,69 @@ void Controller::expire_pending(SimTime now) {
   }
 }
 
-// --- per-host flow index -------------------------------------------------------------
+// --- flow-session slab ---------------------------------------------------------------
 
-void Controller::index_flow_host(const pkt::FlowKey& key, const FlowRecord& record) {
-  flows_by_host_.add(record.user, key);
-  if (key.dl_dst != record.user) flows_by_host_.add(key.dl_dst, key);
+Controller::FlowRecord* Controller::find_session(const pkt::FlowKey& key) {
+  const std::uint32_t* slot = sessions_.find(key);
+  return slot == nullptr ? nullptr : &session_at(*slot);
 }
 
-void Controller::unindex_flow_host(const pkt::FlowKey& key, const FlowRecord& record) {
-  flows_by_host_.remove(record.user, key);
-  if (key.dl_dst != record.user) flows_by_host_.remove(key.dl_dst, key);
+const Controller::FlowRecord* Controller::find_session(const pkt::FlowKey& key) const {
+  return const_cast<Controller*>(this)->find_session(key);
+}
+
+std::uint32_t Controller::open_session(const pkt::FlowKey& key) {
+  std::uint32_t slot = free_session_;
+  if (slot != kNoSlot) {
+    free_session_ = session_slot(slot).next_free;
+  } else {
+    if (session_slots_ % kSessionChunk == 0) {
+      session_chunks_.push_back(std::make_unique<SessionSlot[]>(kSessionChunk));
+    }
+    slot = session_slots_++;
+  }
+  SessionSlot& entry = session_slot(slot);
+  FlowRecord& record = entry.record.emplace();
+  record.key = key;
+  record.cookie = (std::uint64_t{entry.generation} << 32) | slot;
+  sessions_.insert_or_assign(key, slot);
+  if (is_icmp(key)) icmp_reverse_.insert_or_assign(session_reverse(key), slot);
+  flows_by_host_.add(key.dl_src, slot);
+  if (key.dl_dst != key.dl_src) flows_by_host_.add(key.dl_dst, slot);
+  return slot;
+}
+
+void Controller::close_session(std::uint32_t slot) {
+  SessionSlot& entry = session_slot(slot);
+  const FlowRecord& record = *entry.record;
+  const pkt::FlowKey& key = record.key;
+  const pkt::FlowKey reverse = session_reverse(key);
+  sessions_.erase(key);
+  if (is_icmp(key)) icmp_reverse_.erase(reverse);
+  for (const MacAddress& se_mac : record.se_macs) {
+    steered_.erase(with_dl_dst(key, se_mac));
+    steered_.erase(with_dl_dst(reverse, se_mac));
+  }
+  flows_by_host_.remove(key.dl_src, slot);
+  if (key.dl_dst != key.dl_src) flows_by_host_.remove(key.dl_dst, slot);
+  entry.record.reset();
+  // Every cookie this slot handed out so far goes stale.
+  if (++entry.generation == 0) entry.generation = 1;
+  entry.next_free = free_session_;
+  free_session_ = slot;
+}
+
+Controller::FlowRecord* Controller::resolve_reported(pkt::FlowKey& key) {
+  if (const std::uint32_t* slot = steered_.find(key)) key = session_at(*slot).key;
+  // Fold the reverse direction onto the forward key. Outside ICMP the
+  // session owning reverse key R is the one filed under session_reverse(R),
+  // which is R.reversed().
+  const std::uint32_t* owner =
+      is_icmp(key) ? icmp_reverse_.find(key) : sessions_.find(key.reversed());
+  if (owner == nullptr) return find_session(key);
+  FlowRecord& record = session_at(*owner);
+  key = record.key;
+  return &record;
 }
 
 void Controller::install_drop(DatapathId dpid, PortId in_port, const pkt::FlowKey& key) {
@@ -1398,87 +1420,73 @@ bool Controller::unblock_flow(const pkt::FlowKey& key) {
 
 // --- flow teardown -----------------------------------------------------------------
 
-void Controller::teardown_flow(const pkt::FlowKey& key) {
-  auto it = flows_.find(key);
-  if (it == flows_.end()) return;
-  FlowRecord record = std::move(it->second);
-  flows_.erase(it);
-  unindex_flow_host(key, record);
+void Controller::end_session(std::uint32_t slot, std::string detail) {
+  const FlowRecord& record = session_at(slot);
+  const pkt::FlowKey& key = record.key;
+  if (record.app != svc::l7::AppProtocol::kUnknown) {
+    monitor_.record_flow_ended(key.dl_src, record.app);
+  }
+  for (std::uint64_t se_id : record.se_ids) {
+    const SeRecord* se = registry_.find(se_id);
+    if (se != nullptr) lb_.release_flow(key, se->service);
+  }
+  raise(mon::EventType::kFlowEnd, key.dl_src.to_string(), std::move(detail), record.ingress_dpid,
+        0, 0, &key);
+  close_session(slot);
+}
 
-  for (const auto& [dpid, match] : record.installed) {
+void Controller::teardown_session(std::uint32_t slot) {
+  for (const auto& [dpid, match] : session_at(slot).installed) {
     of::FlowMod mod;
     mod.command = of::FlowModCommand::kDeleteStrict;
     mod.entry.match = match;
     mod.entry.priority = config_.flow_priority;
     send_flow_mod(dpid, mod);
   }
-  // Forget bookkeeping so the late FlowRemoved from the delete is ignored.
-  cookie_index_.erase(record.cookie);
-  for (const pkt::FlowKey& steered : record.steered_keys) steered_index_.erase(steered);
-  reverse_index_.erase(record.reverse_key);
-  if (record.app != svc::l7::AppProtocol::kUnknown) {
-    monitor_.record_flow_ended(record.user, record.app);
-  }
-  for (std::uint64_t se_id : record.se_ids) {
-    const SeRecord* se = registry_.find(se_id);
-    if (se != nullptr) lb_.release_flow(key, se->service);
-  }
-  raise(mon::EventType::kFlowEnd, key.dl_src.to_string(), "torn down", record.ingress_dpid, 0, 0,
-        &key);
+  // Ending frees the slot, so the late FlowRemoved from the delete is
+  // ignored.
+  end_session(slot, "torn down");
 }
 
 std::size_t Controller::teardown_flows_through_se(std::uint64_t se_id) {
-  std::vector<pkt::FlowKey> affected;
-  for (const auto& [key, record] : flows_) {
-    if (std::find(record.se_ids.begin(), record.se_ids.end(), se_id) != record.se_ids.end()) {
-      affected.push_back(key);
+  std::vector<std::uint32_t> affected;
+  for (std::uint32_t slot = 0; slot < session_slots_; ++slot) {
+    const std::optional<FlowRecord>& record = session_slot(slot).record;
+    if (record && std::find(record->se_ids.begin(), record->se_ids.end(), se_id) !=
+                      record->se_ids.end()) {
+      affected.push_back(slot);
     }
   }
-  for (const pkt::FlowKey& key : affected) teardown_flow(key);
+  for (std::uint32_t slot : affected) teardown_session(slot);
   return affected.size();
 }
 
 std::size_t Controller::teardown_flows_of_host(const MacAddress& mac) {
-  const FlowSet* flows = flows_by_host_.find(mac);
+  const SlotSet* flows = flows_by_host_.find(mac);
   if (flows == nullptr) return 0;
-  // Copy: teardown_flow mutates the index.
-  std::vector<pkt::FlowKey> affected;
+  // Copy: teardown_session mutates the index.
+  std::vector<std::uint32_t> affected;
   affected.reserve(flows->size());
-  flows->for_each([&affected](const pkt::FlowKey& key) { affected.push_back(key); });
-  for (const pkt::FlowKey& key : affected) teardown_flow(key);
+  flows->for_each([&affected](std::uint32_t slot) { affected.push_back(slot); });
+  for (std::uint32_t slot : affected) teardown_session(slot);
   return affected.size();
 }
 
 void Controller::on_flow_removed(DatapathId dpid, const of::FlowRemoved& removed) {
-  (void)dpid;
-  auto cookie_it = cookie_index_.find(removed.cookie);
-  if (cookie_it == cookie_index_.end()) return;
-  const pkt::FlowKey key = cookie_it->second;
-  cookie_index_.erase(cookie_it);
-
-  auto it = flows_.find(key);
-  if (it == flows_.end()) return;
-  FlowRecord& record = it->second;
-
-  if (record.app != svc::l7::AppProtocol::kUnknown) {
-    monitor_.record_flow_ended(record.user, record.app);
+  // The cookie names the slot. It closes the session only while it is the
+  // slot's current cookie and the entry is that session's ingress entry.
+  const auto slot = static_cast<std::uint32_t>(removed.cookie);
+  if (slot >= session_slots_) return;
+  const std::optional<FlowRecord>& live = session_slot(slot).record;
+  if (!live || live->cookie != removed.cookie || live->installed.empty() ||
+      live->installed.front() != std::make_pair(dpid, removed.match)) {
+    return;
   }
   // Data-path counters from the expired entry feed the per-user traffic
   // distribution view (paper §IV.C).
-  monitor_.record_flow_traffic(record.user, removed.packet_count, removed.byte_count);
-  for (std::uint64_t se_id : record.se_ids) {
-    const SeRecord* se = registry_.find(se_id);
-    if (se != nullptr) lb_.release_flow(key, se->service);
-  }
-  for (const pkt::FlowKey& steered : record.steered_keys) steered_index_.erase(steered);
-  reverse_index_.erase(record.reverse_key);
-  unindex_flow_host(key, record);
-
-  raise(mon::EventType::kFlowEnd, key.dl_src.to_string(),
-        "pkts=" + std::to_string(removed.packet_count) +
-            " bytes=" + std::to_string(removed.byte_count),
-        record.ingress_dpid, 0, 0, &key);
-  flows_.erase(it);
+  monitor_.record_flow_traffic(live->key.dl_src, removed.packet_count, removed.byte_count);
+  end_session(slot, "pkts=" + std::to_string(removed.packet_count) +
+                        " bytes=" + std::to_string(removed.byte_count));
 }
 
 // --- housekeeping ---------------------------------------------------------------------

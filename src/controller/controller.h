@@ -13,7 +13,9 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/hash.h"
+#include "common/small_vector.h"
 #include "controller/certification.h"
 #include "controller/dhcp_pool.h"
 #include "controller/host_index.h"
@@ -241,7 +243,7 @@ class Controller : public of::ControllerEndpoint {
   const mon::EventPipeline& events() const { return events_; }
   const mon::ServiceAwareMonitor& service_monitor() const { return monitor_; }
   bool flow_blocked(const pkt::FlowKey& key) const { return blocked_flows_.contains(key); }
-  std::size_t active_flows() const { return flows_.size(); }
+  std::size_t active_flows() const { return sessions_.size(); }
 
   /// Rolling per-switch load derived from StatsReply deltas.
   struct SwitchLoad {
@@ -303,15 +305,15 @@ class Controller : public of::ControllerEndpoint {
   /// Entries currently installed for an active flow (tests assert the
   /// paper's 4-entry redirect shape and its rewrite on offload).
   std::vector<std::pair<DatapathId, of::Match>> flow_entries(const pkt::FlowKey& key) const {
-    auto it = flows_.find(key);
-    if (it == flows_.end()) return {};
-    return it->second.installed;
+    const FlowRecord* record = find_session(key);
+    if (record == nullptr) return {};
+    return {record->installed.begin(), record->installed.end()};
   }
   /// SE chain an active flow is steered through (empty after offload).
   std::vector<std::uint64_t> flow_se_ids(const pkt::FlowKey& key) const {
-    auto it = flows_.find(key);
-    if (it == flows_.end()) return {};
-    return it->second.se_ids;
+    const FlowRecord* record = find_session(key);
+    if (record == nullptr) return {};
+    return {record->se_ids.begin(), record->se_ids.end()};
   }
 
  private:
@@ -323,34 +325,82 @@ class Controller : public of::ControllerEndpoint {
     bool connected = false;
   };
 
-  /// Controller-side record of one installed end-to-end flow.
+  /// Controller-side record of one installed end-to-end session: the
+  /// forward flow plus its pre-installed reverse direction. Records live in
+  /// the session slab (DESIGN.md §9); their inline capacities follow the
+  /// path shapes build_path emits, so a session steered through one SE is
+  /// set up and torn down without a heap allocation.
   struct FlowRecord {
-    pkt::FlowKey key;          // original 9-tuple (forward direction)
+    /// Per direction build_path emits one steering entry per SE (plus its
+    /// arrival entry when the SE sits on another switch) and one delivery
+    /// entry (plus the egress entry when the destination sits on another
+    /// switch): at most 2 * (chain length + 1), so 4 for a one-SE chain
+    /// (paper §IV.A). Longer chains spill to the heap.
+    static constexpr std::size_t kInlineEntries = 8;
+
+    pkt::FlowKey key;  // original 9-tuple (forward direction); dl_src is the user
+    /// Cookie stamped on the ingress entry: (slot generation << 32) | slot.
+    std::uint64_t cookie = 0;
     DatapathId ingress_dpid = 0;
     PortId ingress_port = kInvalidPort;
-    std::uint32_t policy_id = 0;
-    std::vector<std::uint64_t> se_ids;  // traversed chain
-    MacAddress user;                     // originating host
-    SimTime started_at = 0;
-    bool blocked = false;
     svc::l7::AppProtocol app = svc::l7::AppProtocol::kUnknown;
-    /// Every entry installed for this flow: (dpid, match, priority) so that
-    /// blocking / teardown can address them.
-    std::vector<std::pair<DatapathId, of::Match>> installed;
-    /// Steered variants of the key (dl_dst = SE MAC) registered in
-    /// steered_index_, kept for cleanup.
-    std::vector<pkt::FlowKey> steered_keys;
-    /// The reverse-session key registered in reverse_index_.
-    pkt::FlowKey reverse_key;
+    bool blocked = false;
+    SmallVector<std::uint64_t, 1> se_ids;  // traversed chain
+    /// SEs of the chain that issued a benign VERDICT for this flow. The
+    /// cut-through fires only once every se_ids member is present.
+    SmallVector<std::uint64_t, 1> benign_se_ids;
+    /// MACs of the chain's SEs. The steered variants of the key and of its
+    /// reverse (dl_dst = SE MAC) are filed in steered_ and re-derived from
+    /// these for cleanup.
+    SmallVector<MacAddress, 1> se_macs;
+    /// Every entry installed for this flow: (dpid, match) so that
+    /// blocking / teardown can address them. The first is the ingress
+    /// entry, which carries the cookie: build_path emits the forward path
+    /// first, starting at the ingress switch.
+    SmallVector<std::pair<DatapathId, of::Match>, kInlineEntries> installed;
     /// Actions of the ingress entry — used to release packets that raced to
     /// the controller before the entries landed (duplicate packet-ins).
     of::ActionList ingress_actions;
-    /// Cookie on the ingress entry (keys cookie_index_).
-    std::uint64_t cookie = 0;
-    /// SEs of the chain that issued a benign VERDICT for this flow. The
-    /// cut-through fires only once every se_ids member is present.
-    std::vector<std::uint64_t> benign_se_ids;
   };
+
+  // --- flow-session slab (DESIGN.md §9) ---------------------------------------
+  //
+  // Sessions live in fixed 64-record chunks that never move, addressed by a
+  // 32-bit slot; a freed slot goes on an intrusive free list and bumps its
+  // generation. The ingress entry's cookie is (generation << 32) | slot, so a
+  // FlowRemoved finds its session without a lookup. It acts only when the
+  // cookie is the slot's current one and its (dpid, match) is the session's
+  // ingress entry: a late removal for a freed or reused slot, or one for an
+  // entry another controller installed, changes nothing.
+
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  /// Small chunks: a controller with a handful of flows holds one ~40 KB
+  /// chunk, and growth never copies or reallocates records.
+  static constexpr std::uint32_t kSessionChunk = 64;
+
+  struct SessionSlot {
+    std::optional<FlowRecord> record;  // engaged while the session is live
+    std::uint32_t generation = 1;      // never 0: cookie 0 is "not ours"
+    std::uint32_t next_free = kNoSlot;
+  };
+
+  SessionSlot& session_slot(std::uint32_t slot) {
+    return session_chunks_[slot / kSessionChunk][slot % kSessionChunk];
+  }
+  FlowRecord& session_at(std::uint32_t slot) { return *session_slot(slot).record; }
+  /// The live session whose forward key is `key`, or nullptr.
+  FlowRecord* find_session(const pkt::FlowKey& key);
+  const FlowRecord* find_session(const pkt::FlowKey& key) const;
+  /// Allocates a slot for a new session of `key`, stamps its cookie and
+  /// files it in the forward, ICMP-reverse and per-host indexes.
+  std::uint32_t open_session(const pkt::FlowKey& key);
+  /// Unfiles a session from every index and frees its slot.
+  void close_session(std::uint32_t slot);
+  /// Folds a key an SE reported — steered (dl_dst = SE MAC) and/or the
+  /// reverse direction — onto its session's forward key, in place, and
+  /// returns that session (nullptr when none is live; an unknown key is
+  /// left as it is).
+  FlowRecord* resolve_reported(pkt::FlowKey& key);
 
   // --- flow-decision fast path -----------------------------------------------
   //
@@ -377,7 +427,6 @@ class Controller : public of::ControllerEndpoint {
 
   struct CachedDecision {
     PolicyAction action = PolicyAction::kAllow;
-    std::uint32_t policy_id = 0;
     std::string policy_name;  // deny-event detail
     std::vector<std::uint64_t> se_ids;
     std::vector<MacAddress> se_macs;  // steered-key registration
@@ -449,9 +498,6 @@ class Controller : public of::ControllerEndpoint {
   void retry_all_pending();
   void retry_pending(const std::vector<pkt::FlowKey>& keys);
   void expire_pending(SimTime now);
-  /// Indexes `key` under both endpoint MACs for O(flows-of-host) teardown.
-  void index_flow_host(const pkt::FlowKey& key, const FlowRecord& record);
-  void unindex_flow_host(const pkt::FlowKey& key, const FlowRecord& record);
 
   // Message handlers.
   void on_packet_in(DatapathId dpid, const of::PacketIn& pin);
@@ -478,12 +524,15 @@ class Controller : public of::ControllerEndpoint {
     bool notify_ingress_removal = false;
   };
 
-  /// Uninstalls every entry of one flow and forgets its record. Used when an
-  /// SE migrates or a host moves and the installed paths are stale.
-  void teardown_flow(const pkt::FlowKey& key);
+  /// Uninstalls every entry of one session and ends it. Used when an SE
+  /// migrates or a host moves and the installed paths are stale.
+  void teardown_session(std::uint32_t slot);
+  /// Releases a session's app and load-balancer accounting, raises its
+  /// FlowEnd with `detail` and closes it.
+  void end_session(std::uint32_t slot, std::string detail);
   /// Tears down every active flow steered through `se_id`.
   std::size_t teardown_flows_through_se(std::uint64_t se_id);
-  /// Tears down every active flow whose user is `mac` (ingress side).
+  /// Tears down every active flow with `mac` as either endpoint.
   std::size_t teardown_flows_of_host(const MacAddress& mac);
   /// Appends one direction's class-keyed flow-mod templates to `decision`,
   /// grouped per switch. Nothing is sent — apply_decision() replays the
@@ -504,8 +553,7 @@ class Controller : public of::ControllerEndpoint {
   std::optional<CachedDecision> build_direct_decision(const pkt::FlowKey& key);
   /// Rewrites an installed redirected flow onto the direct path and records
   /// the offload (memo + replication + event).
-  void offload_flow(const pkt::FlowKey& key, FlowRecord& record, const SeRecord& se,
-                    std::uint64_t inspected_bytes);
+  void offload_flow(FlowRecord& record, const SeRecord& se, std::uint64_t inspected_bytes);
   /// Drops a flow's offload memo and tells standbys (no-op if absent).
   void forget_offload(const pkt::FlowKey& key);
 
@@ -574,13 +622,6 @@ class Controller : public of::ControllerEndpoint {
   mon::ServiceAwareMonitor monitor_;
   mon::AggregateFlowControl flow_control_;
 
-  /// Active flow records, keyed by forward 9-tuple.
-  std::unordered_map<pkt::FlowKey, FlowRecord> flows_;
-  /// Steered 9-tuple (dl_dst rewritten to SE MAC) -> original forward key,
-  /// so SE event reports map back to the user flow.
-  std::unordered_map<pkt::FlowKey, pkt::FlowKey> steered_index_;
-  /// Reverse key -> forward key (one record per session).
-  std::unordered_map<pkt::FlowKey, pkt::FlowKey> reverse_index_;
   /// Where a blocked flow enters the network — carried in replication so a
   /// promoted standby can re-install the drop without the flow's next
   /// packet-in.
@@ -591,9 +632,21 @@ class Controller : public of::ControllerEndpoint {
   /// Flows banned by security events; re-blocked on any future packet-in.
   /// std::map: snapshot export iterates in deterministic key order.
   std::map<pkt::FlowKey, BlockedFlowInfo> blocked_flows_;
-  /// Cookie stamped on ingress entries -> forward key (FlowRemoved lookup).
-  std::unordered_map<std::uint64_t, pkt::FlowKey> cookie_index_;
-  std::uint64_t next_cookie_ = 1;
+  /// The session slab: chunks of SessionSlot, slots ever allocated, and the
+  /// free-list head.
+  std::vector<std::unique_ptr<SessionSlot[]>> session_chunks_;
+  std::uint32_t session_slots_ = 0;
+  std::uint32_t free_session_ = kNoSlot;
+  /// Forward 9-tuple -> slot of its live session.
+  FlatHashMap<pkt::FlowKey, std::uint32_t> sessions_;
+  /// Steered 9-tuple (dl_dst rewritten to an SE MAC, either direction) ->
+  /// slot, so SE event reports map back to the user flow.
+  FlatHashMap<pkt::FlowKey, std::uint32_t> steered_;
+  /// ICMP sessions' reverse key -> slot. Other reverse keys need no entry:
+  /// session_reverse is an involution there, so sessions_ finds them. The
+  /// ICMP one is not: it drops the code and maps every type but the echo
+  /// request onto the request, so several sessions can share a reverse key.
+  FlatHashMap<pkt::FlowKey, std::uint32_t> icmp_reverse_;
 
   bool housekeeping_running_ = false;
   SimTime next_lldp_ = 0;
@@ -645,7 +698,7 @@ class Controller : public of::ControllerEndpoint {
   std::map<pkt::FlowKey, OffloadEntry> offloaded_flows_;
   /// In-flight flow setups, keyed by the concrete forward 9-tuple.
   std::unordered_map<pkt::FlowKey, PendingSetup> pending_setups_;
-  /// Endpoint MAC -> forward keys of active flows touching it, MAC-sharded
+  /// Endpoint MAC -> session slots of active flows touching it, MAC-sharded
   /// like the routing table.
   HostFlowIndex flows_by_host_;
 };

@@ -1,13 +1,13 @@
 // Per-host active-flow index, partitioned the same way as the routing
 // table's host records (DESIGN.md §9): flows_by_host_ is the second
-// O(hosts) structure on the controller, and at campus scale the old
-// unordered_map<MacAddress, set<FlowKey>> paid two heap nodes per
-// (host, flow) pair. Here each MAC-hash shard is one flat-hash table whose
-// values are hybrid flow sets: the common case (a host with a couple of
-// active flows) stays inline in the table slot with no per-flow node,
-// while a hot host (a server terminating thousands of flows) spills into
-// an open-addressing set so add/remove stay O(1) instead of degrading to
-// a linear scan per flow.
+// O(hosts) structure on the controller. It maps each endpoint MAC to the
+// session-slab slots of the flows touching it, so teardown by host goes
+// straight to the sessions. Each MAC-hash shard is one flat-hash table whose
+// values are hybrid slot sets: the common case (a host with a few active
+// flows) stays inline in the table slot with no per-flow node, while a hot
+// host (a server terminating thousands of flows) spills into an
+// open-addressing set so add/remove stay O(1) instead of degrading to a
+// linear scan per flow.
 #pragma once
 
 #include <cstddef>
@@ -20,45 +20,42 @@
 #include "common/hash.h"
 #include "common/mac_address.h"
 #include "common/small_vector.h"
-#include "packet/flow_key.h"
 
 namespace livesec::ctrl {
 
-/// Set of flow keys with inline storage for small cardinalities and a
+/// Set of session slots with inline storage for small cardinalities and a
 /// flat-hash spill for large ones.
-class FlowSet {
+class SlotSet {
  public:
-  bool contains(const pkt::FlowKey& key) const {
-    if (large_) return large_->find(key) != nullptr;
-    for (const pkt::FlowKey& existing : small_) {
-      if (existing == key) return true;
+  bool contains(std::uint32_t slot) const {
+    if (large_) return large_->find(slot) != nullptr;
+    for (std::uint32_t existing : small_) {
+      if (existing == slot) return true;
     }
     return false;
   }
 
-  /// Inserts `key`; returns false when it was already present.
-  bool insert(const pkt::FlowKey& key) {
+  /// Inserts `slot`; returns false when it was already present.
+  bool insert(std::uint32_t slot) {
     if (large_ == nullptr) {
-      for (const pkt::FlowKey& existing : small_) {
-        if (existing == key) return false;
-      }
+      if (contains(slot)) return false;
       if (small_.size() < kSpillThreshold) {
-        small_.push_back(key);
+        small_.push_back(slot);
         return true;
       }
       spill();
     }
-    if (large_->find(key) != nullptr) return false;
-    large_->insert_or_assign(key, 0);
+    if (large_->find(slot) != nullptr) return false;
+    large_->insert_or_assign(slot, 0);
     return true;
   }
 
-  /// Removes `key`; returns false when it was not present. A spilled set
+  /// Removes `slot`; returns false when it was not present. A spilled set
   /// never shrinks back inline — a host that was hot tends to stay hot.
-  bool erase(const pkt::FlowKey& key) {
-    if (large_) return large_->erase(key);
+  bool erase(std::uint32_t slot) {
+    if (large_) return large_->erase(slot);
     for (std::size_t i = 0; i < small_.size(); ++i) {
-      if (small_[i] == key) {
+      if (small_[i] == slot) {
         small_[i] = small_.back();
         small_.pop_back();
         return true;
@@ -73,37 +70,30 @@ class FlowSet {
   template <typename Fn>
   void for_each(Fn&& fn) const {
     if (large_) {
-      large_->for_each([&fn](const pkt::FlowKey& key, char) { fn(key); });
+      large_->for_each([&fn](std::uint32_t slot, char) { fn(slot); });
       return;
     }
-    for (const pkt::FlowKey& key : small_) fn(key);
-  }
-
-  std::size_t memory_bytes() const {
-    std::size_t bytes = 0;
-    if (small_.capacity() > kInline) bytes += small_.capacity() * sizeof(pkt::FlowKey);
-    if (large_) bytes += sizeof(*large_) + large_->memory_bytes();
-    return bytes;
+    for (std::uint32_t slot : small_) fn(slot);
   }
 
  private:
-  static constexpr std::size_t kInline = 2;
+  static constexpr std::size_t kInline = 4;
   static constexpr std::size_t kSpillThreshold = 16;
 
   void spill() {
     large_ = std::make_unique<LargeSet>();
     large_->reserve(2 * kSpillThreshold);
-    for (const pkt::FlowKey& key : small_) large_->insert_or_assign(key, 0);
-    small_ = SmallVector<pkt::FlowKey, kInline>();
+    for (std::uint32_t slot : small_) large_->insert_or_assign(slot, 0);
+    small_ = SmallVector<std::uint32_t, kInline>();
   }
 
-  using LargeSet = FlatHashMap<pkt::FlowKey, char>;
+  using LargeSet = FlatHashMap<std::uint32_t, char>;
 
-  SmallVector<pkt::FlowKey, kInline> small_;
+  SmallVector<std::uint32_t, kInline> small_;
   std::unique_ptr<LargeSet> large_;
 };
 
-/// Endpoint MAC -> forward keys of active flows touching it, MAC-sharded.
+/// Endpoint MAC -> session slots of active flows touching it, MAC-sharded.
 class HostFlowIndex {
  public:
   explicit HostFlowIndex(std::size_t shards = 16) {
@@ -113,26 +103,25 @@ class HostFlowIndex {
     shards_.resize(count);
   }
 
-  /// Registers `key` under `host`; duplicate registrations are idempotent
-  /// (retried setups may index the same flow twice).
-  void add(const MacAddress& host, const pkt::FlowKey& key) {
-    shard_of(host)[host.to_uint64()].insert(key);
+  /// Registers `slot` under `host`; duplicate registrations are idempotent.
+  void add(const MacAddress& host, std::uint32_t slot) {
+    shard_of(host)[host.to_uint64()].insert(slot);
   }
 
-  /// Unregisters `key` from `host`; the host's entry disappears with its
+  /// Unregisters `slot` from `host`; the host's entry disappears with its
   /// last flow. Returns true when the pair was present.
-  bool remove(const MacAddress& host, const pkt::FlowKey& key) {
+  bool remove(const MacAddress& host, std::uint32_t slot) {
     auto& shard = shard_of(host);
-    FlowSet* set = shard.find(host.to_uint64());
+    SlotSet* set = shard.find(host.to_uint64());
     if (set == nullptr) return false;
-    if (!set->erase(key)) return false;
+    if (!set->erase(slot)) return false;
     if (set->empty()) shard.erase(host.to_uint64());
     return true;
   }
 
   /// Flows of `host`, or nullptr. The pointer is invalidated by any
   /// mutation of the index (callers copy before tearing down).
-  const FlowSet* find(const MacAddress& host) const {
+  const SlotSet* find(const MacAddress& host) const {
     return shard_of(host).find(host.to_uint64());
   }
 
@@ -143,20 +132,8 @@ class HostFlowIndex {
     return count;
   }
 
-  std::size_t shard_count() const { return shards_.size(); }
-
-  std::size_t memory_bytes() const {
-    std::size_t bytes = sizeof(*this);
-    for (const auto& shard : shards_) {
-      bytes += shard.memory_bytes();
-      shard.for_each(
-          [&bytes](std::uint64_t, const FlowSet& set) { bytes += set.memory_bytes(); });
-    }
-    return bytes;
-  }
-
  private:
-  using Shard = FlatHashMap<std::uint64_t, FlowSet>;
+  using Shard = FlatHashMap<std::uint64_t, SlotSet>;
 
   Shard& shard_of(const MacAddress& host) {
     return shards_[static_cast<std::size_t>(splitmix64(host.to_uint64())) & mask_];

@@ -658,6 +658,83 @@ TEST(HaFailover, DhcpLeasesSurviveFailoverAndStillExpire) {
   EXPECT_EQ(active.dhcp_pool()->lease_expiry(client.mac()), 0);
 }
 
+// A promoted standby numbers its flow cookies afresh, so entries the previous
+// active installed can carry the very cookie one of the new active's flows
+// got. When such an entry idles out, its FlowRemoved must not close that
+// flow: a FlowRemoved acts only when its cookie and its match both name the
+// same live session.
+TEST(HaFailover, PreviousActivesFlowRemovedLeavesNewSessionsAlone) {
+  ctrl::Controller::Config config;
+  config.flow_idle_timeout = 5 * kSecond;
+  Network network{config};
+  network.enable_ha(1);
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs1 = network.add_as_switch("ovs1", backbone);
+  auto& ovs2 = network.add_as_switch("ovs2", backbone);
+  auto& alice = network.add_host("alice", ovs1);
+  auto& bob = network.add_host("bob", ovs2);
+  auto& carol = network.add_host("carol", ovs1);
+  network.start();
+
+  // The first active sets up alice -> bob; its entries outlive the crash.
+  net::UdpCbrApp old_stream(alice, {.dst = bob.ip(), .rate_bps = 1e6,
+                                    .duration = 200 * kMillisecond});
+  old_stream.start();
+  network.run_for(500 * kMillisecond);
+  ha::HaCluster* cluster = network.ha_cluster();
+  cluster->crash_active();
+  network.run_for(500 * kMillisecond);  // detection + promotion
+  ASSERT_EQ(cluster->stats().failovers, 1u);
+  ctrl::Controller& active = cluster->active_controller();
+
+  // The promoted standby sets up its first flow, carol -> bob.
+  net::UdpCbrApp new_stream(carol, {.dst = bob.ip(), .src_port = 41000, .rate_bps = 1e6,
+                                    .duration = 3 * kSecond});
+  new_stream.start();
+  network.run_for(300 * kMillisecond);
+
+  // Each flow's cookie-carrying ingress entry, as ovs1 holds it.
+  const auto ingress_entry = [&](const net::Host& src) {
+    for (const of::FlowEntry& entry : ovs1.flow_table().entries()) {
+      if (entry.cookie != 0 && entry.match.is_exact() &&
+          entry.match.flow_key().dl_src == src.mac()) {
+        return entry;
+      }
+    }
+    ADD_FAILURE() << "no ingress entry for " << src.mac().to_string();
+    return of::FlowEntry{};
+  };
+  const of::FlowEntry old_entry = ingress_entry(alice);
+  const of::FlowEntry new_entry = ingress_entry(carol);
+  const pkt::FlowKey new_key = new_entry.match.flow_key();
+  ASSERT_EQ(active.active_flows(), 1u);
+  const auto entries_before = active.flow_entries(new_key);
+  ASSERT_FALSE(entries_before.empty());
+  const std::uint64_t events_before = active.events().counters().appended;
+
+  const auto flow_removed = [&](const of::FlowEntry& entry, std::uint64_t cookie) {
+    of::FlowRemoved removed;
+    removed.match = entry.match;
+    removed.priority = entry.priority;
+    removed.cookie = cookie;
+    removed.reason = of::RemovalReason::kIdleTimeout;
+    active.handle_switch_message(ovs1.datapath_id(), of::Message{removed});
+  };
+  // The previous active's entry idles out under its own cookie, then a
+  // removal pairs the new flow's cookie with another flow's match.
+  flow_removed(old_entry, old_entry.cookie);
+  flow_removed(old_entry, new_entry.cookie);
+  EXPECT_EQ(active.active_flows(), 1u);
+  EXPECT_EQ(active.flow_entries(new_key), entries_before);
+  EXPECT_EQ(active.events().counters().appended, events_before);
+
+  // The new flow's own removal still closes it.
+  flow_removed(new_entry, new_entry.cookie);
+  EXPECT_EQ(active.active_flows(), 0u);
+  EXPECT_TRUE(active.flow_entries(new_key).empty());
+  EXPECT_EQ(active.events().counters().appended, events_before + 1);
+}
+
 // --- control-plane partition via OFPT_ECHO -----------------------------------------
 
 TEST(HaCluster, EchoLivenessDetectsPartitionAndHealSurvives) {
