@@ -1,12 +1,11 @@
-// M1-M5 — Supporting micro-benchmarks (google-benchmark): component costs
+// M1-M9 — Supporting micro-benchmarks (google-benchmark): component costs
 // underlying the system results — flow-table lookup, Aho-Corasick scan, L7
-// classification, policy lookup, event store append/replay, packet codec.
+// classification, policy lookup, packet codec.
 #include <benchmark/benchmark.h>
 
 #include "controller/policy.h"
 #include "net/network.h"
 #include "net/traffic.h"
-#include "monitor/event_store.h"
 #include "openflow/flow_table.h"
 #include "packet/packet.h"
 #include "services/ids/ids_engine.h"
@@ -171,39 +170,6 @@ void BM_PolicyLookup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_PolicyLookup)->Arg(8)->Arg(64)->Arg(512);
-
-// M5: event store append + windowed replay.
-void BM_EventStoreAppend(benchmark::State& state) {
-  mon::EventStore store(1 << 20);
-  SimTime t = 0;
-  for (auto _ : state) {
-    mon::NetworkEvent e;
-    e.time = ++t;
-    e.type = mon::EventType::kFlowStart;
-    e.subject = "02:00:00:00:00:01";
-    benchmark::DoNotOptimize(store.append(std::move(e)));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EventStoreAppend);
-
-void BM_EventStoreReplay(benchmark::State& state) {
-  mon::EventStore store;
-  for (SimTime t = 0; t < state.range(0); ++t) {
-    mon::NetworkEvent e;
-    e.time = t;
-    e.type = mon::EventType::kFlowStart;
-    store.append(std::move(e));
-  }
-  for (auto _ : state) {
-    std::size_t count = 0;
-    store.replay(state.range(0) / 4, state.range(0) / 2,
-                 [&count](const mon::NetworkEvent&) { ++count; });
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0) / 4);
-}
-BENCHMARK(BM_EventStoreReplay)->Arg(10000);
 
 // M7: controller flow-setup rate — full deployments processed end to end:
 // ARP + packet-in + policy lookup + LB + FlowMod fan-out per new flow.

@@ -50,8 +50,8 @@ struct StormGen {
     t += kMillisecond;
     e.time = t;
     e.type = static_cast<mon::EventType>(1 + (r % 23));
-    e.subject = "host-" + std::to_string(r % 331);
-    if ((r & 15) == 0) e.detail = (r & 16) ? "HTTP" : "bittorrent";
+    e.set_subject("host-" + std::to_string(r % 331));
+    if ((r & 15) == 0) e.set_detail((r & 16) ? "HTTP" : "bittorrent");
     e.dpid = static_cast<DatapathId>(1 + (r % 7));
     e.severity = static_cast<std::uint8_t>(r & 3);
     return e;
@@ -306,11 +306,11 @@ int main(int argc, char** argv) {
   const auto leaves = events.query_type(mon::EventType::kHostLeave, fig7_time, fig8_time);
   // Exactly user3 left; active users were kept alive by ARP refresh.
   const bool user_left =
-      leaves.size() == 1 && leaves[0].subject == users[3]->mac().to_string();
+      leaves.size() == 1 && leaves[0].subject_string() == users[3]->mac().to_string();
   const bool bt_seen = [&] {
     for (const auto& e :
          events.query_type(mon::EventType::kProtocolIdentified, fig7_time, fig8_time)) {
-      if (e.detail == "bittorrent") return true;
+      if (e.detail_string() == "bittorrent") return true;
     }
     return false;
   }();

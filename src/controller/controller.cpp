@@ -206,7 +206,7 @@ void Controller::handle_switch_disconnected(DatapathId dpid) {
   // down when the move was learned).
   for (const HostLocation& host : routing_.remove_switch(dpid)) {
     replicate(ha::HostRemovedRecord{host.mac});
-    raise(mon::EventType::kHostLeave, host.mac.to_string(), "switch disconnected", dpid);
+    raise(mon::EventType::kHostLeave, mon::Subject::mac(host.mac), "switch disconnected", dpid);
     teardown_flows_of_host(host.mac);
   }
   for (const SeRecord* se : registry_.all()) {
@@ -368,7 +368,7 @@ void Controller::handle_daemon(DatapathId dpid, PortId in_port, const pkt::Packe
 
   if (!ca_.validate(message->se_id, message->cert_token)) {
     ++stats_.cert_rejections;
-    raise(mon::EventType::kCertificationRejected, "se" + std::to_string(message->se_id),
+    raise(mon::EventType::kCertificationRejected, mon::Subject::se(message->se_id),
           "invalid certificate", dpid, message->se_id, 8);
     // Paper §III.D.1: flows generated by an uncertified SE are dropped at
     // the ingress AS switch.
@@ -402,7 +402,7 @@ void Controller::handle_daemon(DatapathId dpid, PortId in_port, const pkt::Packe
       node.port = in_port;
       node.joined_at = sim_->now();
       topology_.upsert_node("se" + std::to_string(message->se_id), node);
-      raise(mon::EventType::kSeMigrated, "se" + std::to_string(message->se_id),
+      raise(mon::EventType::kSeMigrated, mon::Subject::se(message->se_id),
             "now at dpid=" + std::to_string(dpid) + ", " + std::to_string(torn) +
                 " flows re-routed",
             dpid, message->se_id);
@@ -428,7 +428,7 @@ void Controller::handle_daemon(DatapathId dpid, PortId in_port, const pkt::Packe
       node.port = in_port;
       node.joined_at = sim_->now();
       topology_.upsert_node("se" + std::to_string(message->se_id), node);
-      raise(mon::EventType::kSeOnline, "se" + std::to_string(message->se_id),
+      raise(mon::EventType::kSeOnline, mon::Subject::se(message->se_id),
             svc::service_type_name(online->service), dpid, message->se_id);
       // SE pool change: a new engine generation may judge old content
       // differently, so cached verdicts stop being authoritative.
@@ -464,14 +464,14 @@ void Controller::handle_daemon_event(const SeRecord& se, const svc::EventMessage
           : event.kind == svc::EventKind::kFirewallDenied
               ? mon::EventType::kPolicyDenied
               : mon::EventType::kContentViolation;
-      raise(type, original.dl_src.to_string(), event.description, se.dpid, se.se_id,
+      raise(type, mon::Subject::mac(original.dl_src), event.description, se.dpid, se.se_id,
             event.severity, &original);
       block_flow_at_ingress(original, se.se_id, event.severity);
       break;
     }
     case svc::EventKind::kProtocolIdentified: {
       const auto proto = static_cast<svc::l7::AppProtocol>(event.rule_id);
-      raise(mon::EventType::kProtocolIdentified, original.dl_src.to_string(),
+      raise(mon::EventType::kProtocolIdentified, mon::Subject::mac(original.dl_src),
             svc::l7::app_protocol_name(proto), se.dpid, se.se_id, 0, &original);
       if (record != nullptr && record->app == svc::l7::AppProtocol::kUnknown) {
         const MacAddress user = record->key.dl_src;
@@ -493,7 +493,7 @@ void Controller::handle_daemon_event(const SeRecord& se, const svc::EventMessage
           mod.entry.priority = config_.flow_priority;
           mod.entry.actions = of::drop();
           send_flow_mod(record->ingress_dpid, mod);
-          raise(mon::EventType::kAggregateLimitHit, user.to_string(),
+          raise(mon::EventType::kAggregateLimitHit, mon::Subject::mac(user),
                 svc::l7::app_protocol_name(proto), record->ingress_dpid, se.se_id, 3,
                 &record->key);
         }
@@ -526,7 +526,7 @@ void Controller::block_flow_at_ingress(const pkt::FlowKey& original, std::uint64
     mod.entry.idle_timeout = config_.flow_idle_timeout * 3;
     send_flow_mod(record->ingress_dpid, mod);
     ++stats_.flows_blocked_by_event;
-    raise(mon::EventType::kFlowBlocked, original.dl_src.to_string(),
+    raise(mon::EventType::kFlowBlocked, mon::Subject::mac(original.dl_src),
           "blocked at ingress dpid=" + std::to_string(record->ingress_dpid), record->ingress_dpid,
           se_id, severity, &original);
   }
@@ -549,7 +549,7 @@ void Controller::handle_daemon_verdict(const SeRecord& se, const svc::VerdictMes
   switch (verdict.verdict) {
     case svc::FlowVerdict::kMalicious:
       // Same containment as an attack event: drop at the entrance.
-      raise(mon::EventType::kAttackDetected, original.dl_src.to_string(),
+      raise(mon::EventType::kAttackDetected, mon::Subject::mac(original.dl_src),
             "malicious verdict rule=" + std::to_string(verdict.rule_id), se.dpid, se.se_id,
             verdict.severity, &original);
       block_flow_at_ingress(original, se.se_id, verdict.severity);
@@ -611,7 +611,7 @@ void Controller::handle_arp(DatapathId dpid, const of::PacketIn& pin) {
     node.port = pin.in_port;
     node.joined_at = sim_->now();
     topology_.upsert_node(arp.sender_mac.to_string(), node);
-    raise(mon::EventType::kHostMoved, arp.sender_mac.to_string(),
+    raise(mon::EventType::kHostMoved, mon::Subject::mac(arp.sender_mac),
           "now at dpid=" + std::to_string(dpid) + ", " + std::to_string(torn) +
               " flows re-routed",
           dpid);
@@ -624,7 +624,8 @@ void Controller::handle_arp(DatapathId dpid, const of::PacketIn& pin) {
     node.port = pin.in_port;
     node.joined_at = sim_->now();
     topology_.upsert_node(arp.sender_mac.to_string(), node);
-    raise(mon::EventType::kHostJoin, arp.sender_mac.to_string(), arp.sender_ip.to_string(), dpid);
+    raise(mon::EventType::kHostJoin, mon::Subject::mac(arp.sender_mac), arp.sender_ip.to_string(),
+          dpid);
   }
   // The announced host may be the missing endpoint of parked setups.
   if (!pending_setups_.empty()) retry_pending_for_host(arp.sender_mac);
@@ -721,7 +722,7 @@ void Controller::handle_dhcp(DatapathId dpid, const of::PacketIn& pin) {
         node.port = pin.in_port;
         node.joined_at = sim_->now();
         topology_.upsert_node(request->client_mac.to_string(), node);
-        raise(mon::EventType::kHostJoin, request->client_mac.to_string(),
+        raise(mon::EventType::kHostJoin, mon::Subject::mac(request->client_mac),
               "dhcp " + leased->to_string(), dpid);
       }
       if (!pending_setups_.empty()) retry_pending_for_host(request->client_mac);
@@ -1131,7 +1132,7 @@ void Controller::offload_flow(FlowRecord& record, const SeRecord& se,
     replicate(ha::FlowOffloadedRecord{key, inspected_bytes});
   }
   ++stats_.flows_offloaded;
-  raise(mon::EventType::kFlowOffloaded, key.dl_src.to_string(),
+  raise(mon::EventType::kFlowOffloaded, mon::Subject::mac(key.dl_src),
         "cut through after " + std::to_string(inspected_bytes) + " clean bytes",
         record.ingress_dpid, se.se_id, 0, &key);
 }
@@ -1145,8 +1146,8 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
   if (decision.action == PolicyAction::kDeny) {
     ++stats_.flows_denied;
     install_drop(dpid, pin.in_port, key);
-    raise(mon::EventType::kPolicyDenied, key.dl_src.to_string(), decision.policy_name, dpid, 0, 2,
-          &key);
+    raise(mon::EventType::kPolicyDenied, mon::Subject::mac(key.dl_src), decision.policy_name, dpid,
+          0, 2, &key);
     return;
   }
 
@@ -1252,11 +1253,8 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
 
   ++stats_.flows_installed;
   if (!decision.se_ids.empty()) ++stats_.flows_redirected;
-  raise(mon::EventType::kFlowStart, key.dl_src.to_string(),
-        key.to_string() + (decision.se_ids.empty()
-                               ? ""
-                               : " via " + std::to_string(decision.se_ids.size()) + " SE"),
-        dpid, 0, 0, &key);
+  raise(mon::EventType::kFlowStart, mon::Subject::mac(key.dl_src),
+        mon::Detail::flow_path(decision.se_ids.size()), dpid, 0, 0, &key);
 }
 
 // --- pending setups (packet-in suppression) ------------------------------------------
@@ -1420,7 +1418,7 @@ bool Controller::unblock_flow(const pkt::FlowKey& key) {
 
 // --- flow teardown -----------------------------------------------------------------
 
-void Controller::end_session(std::uint32_t slot, std::string detail) {
+void Controller::end_session(std::uint32_t slot, mon::Detail detail) {
   const FlowRecord& record = session_at(slot);
   const pkt::FlowKey& key = record.key;
   if (record.app != svc::l7::AppProtocol::kUnknown) {
@@ -1430,8 +1428,8 @@ void Controller::end_session(std::uint32_t slot, std::string detail) {
     const SeRecord* se = registry_.find(se_id);
     if (se != nullptr) lb_.release_flow(key, se->service);
   }
-  raise(mon::EventType::kFlowEnd, key.dl_src.to_string(), std::move(detail), record.ingress_dpid,
-        0, 0, &key);
+  raise(mon::EventType::kFlowEnd, mon::Subject::mac(key.dl_src), detail, record.ingress_dpid, 0, 0,
+        &key);
   close_session(slot);
 }
 
@@ -1445,7 +1443,7 @@ void Controller::teardown_session(std::uint32_t slot) {
   }
   // Ending frees the slot, so the late FlowRemoved from the delete is
   // ignored.
-  end_session(slot, "torn down");
+  end_session(slot, mon::Detail::torn_down());
 }
 
 std::size_t Controller::teardown_flows_through_se(std::uint64_t se_id) {
@@ -1485,8 +1483,7 @@ void Controller::on_flow_removed(DatapathId dpid, const of::FlowRemoved& removed
   // Data-path counters from the expired entry feed the per-user traffic
   // distribution view (paper §IV.C).
   monitor_.record_flow_traffic(live->key.dl_src, removed.packet_count, removed.byte_count);
-  end_session(slot, "pkts=" + std::to_string(removed.packet_count) +
-                        " bytes=" + std::to_string(removed.byte_count));
+  end_session(slot, mon::Detail::flow_counters(removed.packet_count, removed.byte_count));
 }
 
 // --- housekeeping ---------------------------------------------------------------------
@@ -1530,9 +1527,9 @@ void Controller::housekeeping_tick() {
   const SimTime now = sim_->now();
 
   // The expiry sweep is the controller's burst emitter: one campus-scale
-  // tick can expire thousands of hosts, so their leave events are staged in
-  // an EventBatch and ingested with a single bulk append.
-  mon::EventBatch leave_events;
+  // tick can expire thousands of hosts, so their leave events are staged
+  // and ingested with a single bulk append.
+  std::vector<mon::NetworkEvent> leave_events;
   for (const HostLocation& host : routing_.expire(now)) {
     replicate(ha::HostRemovedRecord{host.mac});
     // An expired host's flows must die with its location record: the next
@@ -1543,9 +1540,11 @@ void Controller::housekeeping_tick() {
     teardown_flows_of_host(host.mac);
     if (registry_.find_by_mac(host.mac) != nullptr) continue;  // SEs expire below
     topology_.remove_node(host.mac.to_string());
-    mon::NetworkEvent& leave = leave_events.emit(now, mon::EventType::kHostLeave);
-    leave.subject = host.mac.to_string();
-    leave.detail = "arp timeout";
+    mon::NetworkEvent& leave = leave_events.emplace_back();
+    leave.time = now;
+    leave.type = mon::EventType::kHostLeave;
+    leave.set_subject(mon::Subject::mac(host.mac));
+    leave.set_detail("arp timeout");
     leave.dpid = host.dpid;
   }
   raise_batch(std::move(leave_events));
@@ -1557,7 +1556,7 @@ void Controller::housekeeping_tick() {
     // timeout; tear them down so their next packet re-routes over the
     // surviving pool (no single point of failure, paper §IV.B).
     const std::size_t torn = teardown_flows_through_se(se.se_id);
-    raise(mon::EventType::kSeOffline, "se" + std::to_string(se.se_id),
+    raise(mon::EventType::kSeOffline, mon::Subject::se(se.se_id),
           std::string(svc::service_type_name(se.service)) + ", " + std::to_string(torn) +
               " flows re-routed",
           se.dpid, se.se_id);
@@ -1642,8 +1641,9 @@ void Controller::drop_pending_for_switch(DatapathId dpid) {
   }
 }
 
-void Controller::apply_replicated(const ha::RecordBody& body) {
+bool Controller::apply_replicated(const ha::RecordBody& body) {
   applying_replicated_ = true;
+  bool applied = true;
   if (const auto* h = std::get_if<ha::HostLearnedRecord>(&body)) {
     routing_.learn(h->mac, h->ip, h->dpid, h->port, h->seen_at);
     if (registry_.find_by_mac(h->mac) == nullptr) {
@@ -1737,13 +1737,14 @@ void Controller::apply_replicated(const ha::RecordBody& body) {
     // overlap are deduped inside the pipeline. Stashed lazily: a standby
     // defers per-row ingestion until a read or promotion needs it, and a
     // sealed segment arriving first supersedes the blob outright.
-    events_.stash_rows(e->blob);
+    applied = events_.stash_rows(e->blob);
   } else if (const auto* e = std::get_if<ha::EventSegmentRecord>(&body)) {
     // Parked undecoded alongside the row batches it supersedes; a standby
     // decodes segments only when promoted or read.
-    events_.stash_segment(e->blob);
+    applied = events_.stash_segment(e->blob);
   }
   applying_replicated_ = false;
+  return applied;
 }
 
 std::vector<ha::RecordBody> Controller::export_state() const {
@@ -1967,22 +1968,12 @@ std::size_t Controller::channel_backlog() const {
   return total;
 }
 
-void Controller::raise(mon::EventType type, std::string subject, std::string detail,
-                       DatapathId dpid, std::uint64_t se_id, std::uint8_t severity,
-                       const pkt::FlowKey* flow) {
-  mon::NetworkEvent event;
+void Controller::append_event(mon::NetworkEvent&& event) {
   event.time = sim_->now();
-  event.type = type;
-  event.subject = std::move(subject);
-  event.detail = std::move(detail);
-  event.dpid = dpid;
-  event.se_id = se_id;
-  event.severity = severity;
-  if (flow != nullptr) event.flow = *flow;
   events_.append(std::move(event));
 }
 
-void Controller::raise_batch(mon::EventBatch&& batch) {
+void Controller::raise_batch(std::vector<mon::NetworkEvent>&& batch) {
   if (batch.empty()) return;
   events_.append_batch(std::move(batch));
 }

@@ -24,7 +24,6 @@
 #include "controller/routing_table.h"
 #include "controller/service_registry.h"
 #include "ha/replication.h"
-#include "monitor/event_batch.h"
 #include "monitor/event_pipeline.h"
 #include "monitor/monitoring.h"
 #include "openflow/channel.h"
@@ -183,7 +182,9 @@ class Controller : public of::ControllerEndpoint {
 
   /// Applies one replicated record to this (standby) instance's state
   /// tables. Never touches switches: connectivity is per-controller.
-  void apply_replicated(const ha::RecordBody& body);
+  /// Returns false when the record's payload was rejected: an event blob
+  /// that is corrupt or of another codec version.
+  bool apply_replicated(const ha::RecordBody& body);
 
   /// The full state re-expressed as records, in deterministic order.
   /// Applying them onto a fresh controller reproduces the state.
@@ -529,7 +530,7 @@ class Controller : public of::ControllerEndpoint {
   void teardown_session(std::uint32_t slot);
   /// Releases a session's app and load-balancer accounting, raises its
   /// FlowEnd with `detail` and closes it.
-  void end_session(std::uint32_t slot, std::string detail);
+  void end_session(std::uint32_t slot, mon::Detail detail);
   /// Tears down every active flow steered through `se_id`.
   std::size_t teardown_flows_through_se(std::uint64_t se_id);
   /// Tears down every active flow with `mac` as either endpoint.
@@ -563,12 +564,29 @@ class Controller : public of::ControllerEndpoint {
   /// Session-aware reverse key (ICMP echo request <-> reply, §III.C.3).
   static pkt::FlowKey session_reverse(const pkt::FlowKey& key);
 
-  void raise(mon::EventType type, std::string subject, std::string detail, DatapathId dpid = 0,
-             std::uint64_t se_id = 0, std::uint8_t severity = 0, const pkt::FlowKey* flow = nullptr);
+  /// Raises one event. `subject` is a mon::Subject or free text, `detail` a
+  /// mon::Detail or free text (NetworkEvent::set_subject/set_detail); the
+  /// typed forms format and copy nothing until the event is read.
+  template <typename SubjectArg, typename DetailArg>
+  void raise(mon::EventType type, const SubjectArg& subject, const DetailArg& detail,
+             DatapathId dpid = 0, std::uint64_t se_id = 0, std::uint8_t severity = 0,
+             const pkt::FlowKey* flow = nullptr) {
+    mon::NetworkEvent event;
+    event.type = type;
+    event.set_subject(subject);
+    event.set_detail(detail);
+    event.dpid = dpid;
+    event.se_id = se_id;
+    event.severity = severity;
+    if (flow != nullptr) event.flow = *flow;
+    append_event(std::move(event));
+  }
+  /// Stamps `event` with the current time and appends it.
+  void append_event(mon::NetworkEvent&& event);
 
   /// Bulk ingest for burst emitters (expiry sweeps, teardown storms): one
   /// EventPipeline::append_batch call for the whole staged batch.
-  void raise_batch(mon::EventBatch&& batch);
+  void raise_batch(std::vector<mon::NetworkEvent>&& batch);
 
   void housekeeping_tick();
   void send_lldp_probes(DatapathId dpid);

@@ -242,13 +242,15 @@ void HaCluster::deliver(std::size_t node_index, const ReplicationRecord& record)
     node.held.emplace(record.seq, record.body);  // gap: park until repaired
     return;
   }
-  node.controller->apply_replicated(record.body);
+  // A record whose payload the standby rejects (an event blob of another
+  // codec version) is consumed and counted; resync cannot repair it.
+  if (!node.controller->apply_replicated(record.body)) ++stats_.decode_failures;
   node.applied_seq = record.seq;
   // Drain any held records the gap was hiding.
   auto it = node.held.begin();
   while (it != node.held.end() && it->first <= node.applied_seq + 1) {
     if (it->first == node.applied_seq + 1) {
-      node.controller->apply_replicated(it->second);
+      if (!node.controller->apply_replicated(it->second)) ++stats_.decode_failures;
       node.applied_seq = it->first;
     }
     it = node.held.erase(it);
@@ -274,7 +276,7 @@ void HaCluster::catch_up(Node& node, bool count_retransmits) {
   }
   // Stream the retained tail in place — no materialized copy.
   log_.visit_since(node.applied_seq, [&](const ReplicationRecord& record) {
-    node.controller->apply_replicated(record.body);
+    if (!node.controller->apply_replicated(record.body)) ++stats_.decode_failures;
     node.applied_seq = record.seq;
     if (count_retransmits) ++stats_.retransmits;
   });
@@ -298,7 +300,9 @@ bool HaCluster::apply_import_chunk(std::size_t node_index) {
   const std::size_t end = std::min(node.import_pos + config_.snapshot_import_chunk,
                                    node.import_records.size());
   for (; node.import_pos < end; ++node.import_pos) {
-    node.controller->apply_replicated(node.import_records[node.import_pos]);
+    if (!node.controller->apply_replicated(node.import_records[node.import_pos])) {
+      ++stats_.decode_failures;
+    }
   }
   ++stats_.snapshot_chunks_applied;
   if (node.import_pos < node.import_records.size()) return true;

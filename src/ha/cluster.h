@@ -105,7 +105,7 @@ class HaCluster : public ReplicationSink {
     std::uint64_t bytes_published = 0;      // encoded frame bytes, pre fan-out
     std::uint64_t records_coalesced = 0;    // same-key refreshes merged away
     std::uint64_t deliveries_scheduled = 0; // sim events spent on fan-out
-    std::uint64_t decode_failures = 0;      // corrupt deliveries rejected
+    std::uint64_t decode_failures = 0;      // corrupt deliveries and event blobs rejected
     std::uint64_t snapshot_chunks_applied = 0;
   };
 

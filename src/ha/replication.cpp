@@ -7,26 +7,6 @@
 
 namespace livesec::ha {
 
-void write_varint(pkt::BufferWriter& w, std::uint64_t value) {
-  while (value >= 0x80) {
-    w.u8(static_cast<std::uint8_t>(value) | 0x80);
-    value >>= 7;
-  }
-  w.u8(static_cast<std::uint8_t>(value));
-}
-
-std::uint64_t read_varint(pkt::BufferReader& r) {
-  std::uint64_t value = 0;
-  for (int shift = 0; shift < 70; shift += 7) {
-    const std::uint8_t byte = r.u8();
-    if (!r.ok()) return 0;
-    value |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return value;
-  }
-  r.skip(r.remaining() + 1);  // overlong encoding: poison the reader
-  return 0;
-}
-
 namespace {
 
 /// Per-frame dictionaries: repeated MACs and datapath ids are stored once in
@@ -74,44 +54,44 @@ struct FrameDictDecoder {
 // nullptr, the v1-compatible shape), varint/dictionary-packed inside frames.
 void put_u64(pkt::BufferWriter& w, std::uint64_t v, FrameDictEncoder* dict) {
   if (dict) {
-    write_varint(w, v);
+    w.varint(v);
   } else {
     w.u64(v);
   }
 }
 void put_u32(pkt::BufferWriter& w, std::uint32_t v, FrameDictEncoder* dict) {
   if (dict) {
-    write_varint(w, v);
+    w.varint(v);
   } else {
     w.u32(v);
   }
 }
 void put_mac(pkt::BufferWriter& w, const MacAddress& mac, FrameDictEncoder* dict) {
   if (dict) {
-    write_varint(w, dict->mac_ref(mac.to_uint64()));
+    w.varint(dict->mac_ref(mac.to_uint64()));
   } else {
     w.u64(mac.to_uint64());
   }
 }
 void put_dpid(pkt::BufferWriter& w, DatapathId dpid, FrameDictEncoder* dict) {
   if (dict) {
-    write_varint(w, dict->dpid_ref(dpid));
+    w.varint(dict->dpid_ref(dpid));
   } else {
     w.u64(dpid);
   }
 }
 std::uint64_t get_u64(pkt::BufferReader& r, FrameDictDecoder* dict) {
-  return dict ? read_varint(r) : r.u64();
+  return dict ? r.varint() : r.u64();
 }
 std::uint32_t get_u32(pkt::BufferReader& r, FrameDictDecoder* dict) {
-  return dict ? static_cast<std::uint32_t>(read_varint(r)) : r.u32();
+  return dict ? static_cast<std::uint32_t>(r.varint()) : r.u32();
 }
 MacAddress get_mac_field(pkt::BufferReader& r, FrameDictDecoder* dict) {
-  if (dict) return MacAddress::from_uint64(dict->mac_at(read_varint(r)));
+  if (dict) return MacAddress::from_uint64(dict->mac_at(r.varint()));
   return MacAddress::from_uint64(r.u64());
 }
 DatapathId get_dpid(pkt::BufferReader& r, FrameDictDecoder* dict) {
-  return dict ? dict->dpid_at(read_varint(r)) : r.u64();
+  return dict ? dict->dpid_at(r.varint()) : r.u64();
 }
 
 /// Wire tag of each record type. Values are part of the format: append-only.
@@ -473,12 +453,12 @@ std::vector<std::uint8_t> encode_frame(const ReplicationFrame& frame) {
   pkt::BufferWriter w;
   w.u16(kReplicationFormatVersion);
   w.u8(kFrameMagic);
-  write_varint(w, frame.base_seq);
-  write_varint(w, frame.records.size());
-  write_varint(w, dict.macs.size());
+  w.varint(frame.base_seq);
+  w.varint(frame.records.size());
+  w.varint(dict.macs.size());
   for (const std::uint64_t mac : dict.macs) w.u64(mac);
-  write_varint(w, dict.dpids.size());
-  for (const std::uint64_t dpid : dict.dpids) write_varint(w, dpid);
+  w.varint(dict.dpids.size());
+  for (const std::uint64_t dpid : dict.dpids) w.varint(dpid);
   w.bytes(body_bytes);
   return w.take();
 }
@@ -488,18 +468,18 @@ std::optional<ReplicationFrame> decode_frame(std::span<const std::uint8_t> bytes
   if (r.u16() != kReplicationFormatVersion) return std::nullopt;
   if (r.u8() != kFrameMagic || !r.ok()) return std::nullopt;
   ReplicationFrame frame;
-  frame.base_seq = read_varint(r);
-  const std::uint64_t count = read_varint(r);
+  frame.base_seq = r.varint();
+  const std::uint64_t count = r.varint();
 
   FrameDictDecoder dict;
-  const std::uint64_t mac_count = read_varint(r);
+  const std::uint64_t mac_count = r.varint();
   if (!r.ok() || mac_count > r.remaining() / 8) return std::nullopt;
   dict.macs.reserve(mac_count);
   for (std::uint64_t i = 0; i < mac_count; ++i) dict.macs.push_back(r.u64());
-  const std::uint64_t dpid_count = read_varint(r);
+  const std::uint64_t dpid_count = r.varint();
   if (!r.ok() || dpid_count > r.remaining()) return std::nullopt;  // >= 1 byte each
   dict.dpids.reserve(dpid_count);
-  for (std::uint64_t i = 0; i < dpid_count; ++i) dict.dpids.push_back(read_varint(r));
+  for (std::uint64_t i = 0; i < dpid_count; ++i) dict.dpids.push_back(r.varint());
 
   if (!r.ok() || count > r.remaining()) return std::nullopt;  // >= 1 byte per body
   frame.records.reserve(count);

@@ -237,11 +237,6 @@ std::vector<std::uint8_t> encode_frame(const ReplicationFrame& frame);
 /// reference, a malformed body, or trailing bytes.
 std::optional<ReplicationFrame> decode_frame(std::span<const std::uint8_t> bytes);
 
-/// LEB128 unsigned varint helpers shared by the frame codec (exposed for the
-/// pipeline's flush-byte accounting and the codec fuzz tests).
-void write_varint(pkt::BufferWriter& w, std::uint64_t value);
-std::uint64_t read_varint(pkt::BufferReader& r);
-
 // --- sink --------------------------------------------------------------------
 
 /// Where an active controller publishes its state mutations. The controller

@@ -6,17 +6,31 @@ namespace livesec::mon {
 
 namespace {
 constexpr std::uint32_t kSegmentMagic = 0x4C534547;  // "LSEG"
-constexpr std::uint8_t kSegmentVersion = 1;
-constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-/// Minimum wire bytes per row: id(8) + time(8) + type(1) + subject ref(4) +
-/// detail ref(4) + dpid(8) + se_id(8) + severity(1).
-constexpr std::size_t kRowWireBytes = 42;
+// v2: typed subject/detail columns (varint-packed) and a text dictionary
+// for the free-text rows only; v1 dictionary-encoded every subject/detail.
+constexpr std::uint8_t kSegmentVersion = 2;
+/// Minimum wire bytes per row: id(8) + time(8) + type(1) + subject kind(1) +
+/// value(>=1) + detail kind(1) + a(>=1) + b(>=1) + dpid(>=1) + se_id(>=1) +
+/// severity(1).
+constexpr std::size_t kRowWireBytes = 25;
 
-std::uint64_t string_hash(const std::string& s) {
-  // FNV-1a; stable across runs (unlike std::hash, which may be seeded).
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (unsigned char c : s) h = (h ^ c) * 0x100000001b3ull;
-  return h;
+/// Finds row `row`'s entry in a sparse (row, value) column sorted by row.
+template <typename T>
+const T* sparse_at(const std::vector<std::pair<std::uint32_t, T>>& column, std::size_t row) {
+  auto it = std::lower_bound(column.begin(), column.end(), static_cast<std::uint32_t>(row),
+                             [](const auto& entry, std::uint32_t v) { return entry.first < v; });
+  return (it != column.end() && it->first == row) ? &it->second : nullptr;
+}
+
+/// Checks a decoded sparse column: rows in range and strictly increasing.
+template <typename T>
+bool sparse_rows_valid(const std::vector<std::pair<std::uint32_t, T>>& column,
+                       std::uint32_t rows) {
+  for (std::size_t i = 0; i < column.size(); ++i) {
+    const std::uint32_t row = column[i].first;
+    if (row >= rows || (i > 0 && row <= column[i - 1].first)) return false;
+  }
+  return true;
 }
 }  // namespace
 
@@ -25,8 +39,11 @@ Segment::Segment(std::size_t expected_rows) {
     ids_.reserve(expected_rows);
     times_.reserve(expected_rows);
     types_.reserve(expected_rows);
-    subjects_.reserve(expected_rows);
-    details_.reserve(expected_rows);
+    subject_kinds_.reserve(expected_rows);
+    subject_values_.reserve(expected_rows);
+    detail_kinds_.reserve(expected_rows);
+    detail_a_.reserve(expected_rows);
+    detail_b_.reserve(expected_rows);
     dpids_.reserve(expected_rows);
     se_ids_.reserve(expected_rows);
     severities_.reserve(expected_rows);
@@ -34,33 +51,13 @@ Segment::Segment(std::size_t expected_rows) {
 }
 
 std::uint32_t Segment::intern(const std::string& s) {
-  if (dict_index_.empty()) dict_index_.assign(64, DictSlot{0, kNoSlot});
-  const std::uint64_t h = string_hash(s);
-  std::size_t mask = dict_index_.size() - 1;
-  std::size_t slot = h & mask;
-  while (dict_index_[slot].index != kNoSlot) {
-    if (dict_index_[slot].hash == h && dict_[dict_index_[slot].index] == s) {
-      return dict_index_[slot].index;
-    }
-    slot = (slot + 1) & mask;
+  const auto [it, fresh] =
+      dict_index_.try_emplace(s, static_cast<std::uint32_t>(dict_.size()));
+  if (fresh) {
+    dict_.push_back(s);
+    dict_bytes_ += s.size();
   }
-  const std::uint32_t index = static_cast<std::uint32_t>(dict_.size());
-  dict_.push_back(s);
-  dict_bytes_ += s.size();
-  dict_index_[slot] = DictSlot{h, index};
-  if (++dict_index_used_ * 2 >= dict_index_.size()) {
-    // Grow to keep the load factor under 1/2.
-    std::vector<DictSlot> bigger(dict_index_.size() * 2, DictSlot{0, kNoSlot});
-    mask = bigger.size() - 1;
-    for (const DictSlot& old : dict_index_) {
-      if (old.index == kNoSlot) continue;
-      std::size_t at = old.hash & mask;
-      while (bigger[at].index != kNoSlot) at = (at + 1) & mask;
-      bigger[at] = old;
-    }
-    dict_index_.swap(bigger);
-  }
-  return index;
+  return it->second;
 }
 
 void Segment::append(const NetworkEvent& event) {
@@ -68,12 +65,16 @@ void Segment::append(const NetworkEvent& event) {
   ids_.push_back(event.id);
   times_.push_back(event.time);
   types_.push_back(static_cast<std::uint8_t>(event.type));
-  subjects_.push_back(intern(event.subject));
-  details_.push_back(intern(event.detail));
+  subject_kinds_.push_back(static_cast<std::uint8_t>(event.subject.kind));
+  subject_values_.push_back(event.subject.value);
+  detail_kinds_.push_back(static_cast<std::uint8_t>(event.detail.kind));
+  detail_a_.push_back(event.detail.a);
+  detail_b_.push_back(event.detail.b);
   dpids_.push_back(event.dpid);
   se_ids_.push_back(event.se_id);
   severities_.push_back(event.severity);
   if (event.flow != pkt::FlowKey{}) flows_.emplace_back(row, event.flow);
+  if (!event.text.empty()) texts_.emplace_back(row, intern(event.text));
 
   if (zone_.rows == 0) {
     zone_.time_min = event.time;
@@ -88,9 +89,12 @@ void Segment::append(const NetworkEvent& event) {
 
 void Segment::seal() {
   sealed_ = true;
-  dict_index_.clear();
-  dict_index_.shrink_to_fit();
-  dict_index_used_ = 0;
+  std::unordered_map<std::string, std::uint32_t>().swap(dict_index_);
+}
+
+const std::string* Segment::text_at(std::size_t i) const {
+  const std::uint32_t* ref = sparse_at(texts_, i);
+  return ref != nullptr ? &dict_[*ref] : nullptr;
 }
 
 NetworkEvent Segment::row(std::size_t i) const {
@@ -98,15 +102,13 @@ NetworkEvent Segment::row(std::size_t i) const {
   e.id = ids_[i];
   e.time = times_[i];
   e.type = static_cast<EventType>(types_[i]);
-  e.subject = dict_[subjects_[i]];
-  e.detail = dict_[details_[i]];
+  e.subject = Subject{static_cast<SubjectKind>(subject_kinds_[i]), subject_values_[i]};
+  e.detail = Detail{static_cast<DetailKind>(detail_kinds_[i]), detail_a_[i], detail_b_[i]};
   e.dpid = dpids_[i];
   e.se_id = se_ids_[i];
   e.severity = severities_[i];
-  // Flows are sparse and sorted by row index.
-  auto it = std::lower_bound(flows_.begin(), flows_.end(), static_cast<std::uint32_t>(i),
-                             [](const auto& f, std::uint32_t v) { return f.first < v; });
-  if (it != flows_.end() && it->first == i) e.flow = it->second;
+  if (const pkt::FlowKey* flow = sparse_at(flows_, i)) e.flow = *flow;
+  if (const std::string* text = text_at(i)) e.text = *text;
   return e;
 }
 
@@ -121,20 +123,33 @@ std::optional<std::size_t> Segment::find_id(std::uint64_t id) const {
   return static_cast<std::size_t>(it - ids_.begin());
 }
 
-bool Segment::contains_subject(const std::string& subject) const {
-  return std::find(dict_.begin(), dict_.end(), subject) != dict_.end();
+bool Segment::may_contain_subject(const SubjectKey& subject) const {
+  if (subject.kind != SubjectKind::kText) return true;
+  return std::any_of(dict_.begin(), dict_.end(),
+                     [&](const std::string& s) { return s.starts_with(subject.text); });
+}
+
+bool Segment::subject_matches(std::size_t i, const SubjectKey& subject) const {
+  if (subject_kinds_[i] != static_cast<std::uint8_t>(subject.kind)) return false;
+  if (subject.kind != SubjectKind::kText) return subject_values_[i] == subject.value;
+  const std::string* text = text_at(i);
+  return subject_values_[i] == subject.text.size() && text != nullptr &&
+         text->starts_with(subject.text);
 }
 
 std::size_t Segment::memory_bytes() const {
   std::size_t bytes = ids_.capacity() * sizeof(std::uint64_t) +
                       times_.capacity() * sizeof(SimTime) + types_.capacity() +
-                      subjects_.capacity() * sizeof(std::uint32_t) +
-                      details_.capacity() * sizeof(std::uint32_t) +
+                      subject_kinds_.capacity() +
+                      subject_values_.capacity() * sizeof(std::uint64_t) +
+                      detail_kinds_.capacity() + detail_a_.capacity() * sizeof(std::uint64_t) +
+                      detail_b_.capacity() * sizeof(std::uint64_t) +
                       dpids_.capacity() * sizeof(std::uint64_t) +
                       se_ids_.capacity() * sizeof(std::uint64_t) + severities_.capacity() +
                       flows_.capacity() * sizeof(flows_[0]) +
+                      texts_.capacity() * sizeof(texts_[0]) +
                       dict_.capacity() * sizeof(std::string) + dict_bytes_ +
-                      dict_index_.capacity() * sizeof(DictSlot);
+                      dict_index_.size() * (sizeof(std::string) + 32);
   return bytes;
 }
 
@@ -170,12 +185,13 @@ void Segment::encode(pkt::BufferWriter& w) const {
       p += 8;
     }
   };
-  const auto u32_column = [&w](std::span<const std::uint32_t> vs) {
-    std::uint8_t* p = w.extend(vs.size() * 4);
-    for (std::uint32_t v : vs) {
-      pkt::store_u32(p, v);
-      p += 4;
-    }
+  // Typed values are mostly small (SE counts, packet counters, dpids), so
+  // they are varint-packed: one sizing pass, then one extend.
+  const auto varint_column = [&w](std::span<const std::uint64_t> vs) {
+    std::size_t bytes = 0;
+    for (std::uint64_t v : vs) bytes += pkt::varint_size(v);
+    std::uint8_t* p = w.extend(bytes);
+    for (std::uint64_t v : vs) p += pkt::store_varint(p, v);
   };
   u64_column(ids_);
   {
@@ -186,10 +202,13 @@ void Segment::encode(pkt::BufferWriter& w) const {
     }
   }
   w.bytes(types_);
-  u32_column(subjects_);
-  u32_column(details_);
-  u64_column(dpids_);
-  u64_column(se_ids_);
+  w.bytes(subject_kinds_);
+  varint_column(subject_values_);
+  w.bytes(detail_kinds_);
+  varint_column(detail_a_);
+  varint_column(detail_b_);
+  varint_column(dpids_);
+  varint_column(se_ids_);
   w.bytes(severities_);
   w.u32(static_cast<std::uint32_t>(flows_.size()));
   {
@@ -199,6 +218,11 @@ void Segment::encode(pkt::BufferWriter& w) const {
       key.encode_to(p + 4);
       p += 4 + pkt::FlowKey::kWireBytes;
     }
+  }
+  w.u32(static_cast<std::uint32_t>(texts_.size()));
+  for (const auto& [row, ref] : texts_) {
+    w.u32(row);
+    w.u32(ref);
   }
 }
 
@@ -223,7 +247,7 @@ std::optional<Segment> Segment::decode(pkt::BufferReader& r) {
   const std::uint32_t dict_count = r.u32();
   if (!r.ok()) return std::nullopt;
   // Guard count prefixes against the bytes actually present before any
-  // reserve: each dictionary entry needs >= 2 bytes, each row >= 42.
+  // reserve: each dictionary entry needs >= 2 bytes, each row >= 25.
   if (dict_count > r.remaining() / 2 || rows > r.remaining() / kRowWireBytes) {
     return std::nullopt;
   }
@@ -238,32 +262,39 @@ std::optional<Segment> Segment::decode(pkt::BufferReader& r) {
   for (std::uint32_t i = 0; i < rows; ++i) seg.ids_.push_back(r.u64());
   for (std::uint32_t i = 0; i < rows; ++i) seg.times_.push_back(static_cast<SimTime>(r.u64()));
   for (std::uint32_t i = 0; i < rows; ++i) seg.types_.push_back(r.u8());
-  for (std::uint32_t i = 0; i < rows; ++i) seg.subjects_.push_back(r.u32());
-  for (std::uint32_t i = 0; i < rows; ++i) seg.details_.push_back(r.u32());
-  for (std::uint32_t i = 0; i < rows; ++i) seg.dpids_.push_back(r.u64());
-  for (std::uint32_t i = 0; i < rows; ++i) seg.se_ids_.push_back(r.u64());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.subject_kinds_.push_back(r.u8());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.subject_values_.push_back(r.varint());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.detail_kinds_.push_back(r.u8());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.detail_a_.push_back(r.varint());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.detail_b_.push_back(r.varint());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.dpids_.push_back(r.varint());
+  for (std::uint32_t i = 0; i < rows; ++i) seg.se_ids_.push_back(r.varint());
   for (std::uint32_t i = 0; i < rows; ++i) seg.severities_.push_back(r.u8());
   const std::uint32_t flow_count = r.u32();
-  if (!r.ok() || flow_count > r.remaining() / (4 + 29)) return std::nullopt;
+  if (!r.ok() || flow_count > r.remaining() / (4 + pkt::FlowKey::kWireBytes)) return std::nullopt;
   seg.flows_.reserve(flow_count);
   for (std::uint32_t i = 0; i < flow_count; ++i) {
     const std::uint32_t row = r.u32();
     seg.flows_.emplace_back(row, pkt::FlowKey::decode(r));
   }
+  const std::uint32_t text_count = r.u32();
+  if (!r.ok() || text_count > r.remaining() / 8) return std::nullopt;
+  seg.texts_.reserve(text_count);
+  for (std::uint32_t i = 0; i < text_count; ++i) {
+    const std::uint32_t row = r.u32();
+    const std::uint32_t ref = r.u32();
+    if (ref >= dict_count) return std::nullopt;
+    seg.texts_.emplace_back(row, ref);
+  }
   if (!r.ok()) return std::nullopt;
-  // Structural validation: dangling references or broken orderings mean the
-  // blob is corrupt even though every read stayed in bounds.
-  for (std::uint32_t ref : seg.subjects_) {
-    if (ref >= dict_count) return std::nullopt;
+  // Structural validation: dangling references, malformed rows or broken
+  // orderings mean the blob is corrupt even though every read stayed in
+  // bounds.
+  if (!sparse_rows_valid(seg.flows_, rows) || !sparse_rows_valid(seg.texts_, rows)) {
+    return std::nullopt;
   }
-  for (std::uint32_t ref : seg.details_) {
-    if (ref >= dict_count) return std::nullopt;
-  }
-  std::uint32_t last_flow_row = 0;
-  for (std::size_t i = 0; i < seg.flows_.size(); ++i) {
-    const std::uint32_t row = seg.flows_[i].first;
-    if (row >= rows || (i > 0 && row <= last_flow_row)) return std::nullopt;
-    last_flow_row = row;
+  for (std::uint32_t i = 0; i < rows; ++i) {
+    if (!seg.row(i).well_formed()) return std::nullopt;
   }
   for (std::size_t i = 1; i < seg.times_.size(); ++i) {
     if (seg.times_[i] < seg.times_[i - 1]) return std::nullopt;
@@ -364,13 +395,13 @@ std::size_t ColumnStore::scan_type(EventType type, SimTime from, SimTime to,
   return count;
 }
 
-void ColumnStore::scan_subject(const std::string& subject, std::size_t limit,
+void ColumnStore::scan_subject(const SubjectKey& subject, std::size_t limit,
                                const std::function<void(const NetworkEvent&)>& visit) const {
   std::size_t seen = 0;
   const auto scan = [&](const Segment& seg) {
-    if (seen >= limit || seg.empty() || !seg.contains_subject(subject)) return;
+    if (seen >= limit || seg.empty() || !seg.may_contain_subject(subject)) return;
     for (std::size_t i = seg.rows(); i-- > 0 && seen < limit;) {
-      if (seg.subject_at(i) != subject) continue;
+      if (!seg.subject_matches(i, subject)) continue;
       visit(seg.row(i));
       ++seen;
     }

@@ -1,6 +1,6 @@
-// Columnar event segments (ROADMAP item 6). The event database stops being
-// one row-at-a-time vector: ingest fills an open struct-of-arrays segment
-// whose subject/detail strings are dictionary-encoded per segment; at
+// Columnar event segments (DESIGN.md §12). Ingest fills an open
+// struct-of-arrays segment: typed subjects and details are integer columns,
+// and only the rare free-text rows go through a per-segment dictionary. At
 // segment_rows the segment is sealed, its zone map (time/id min-max, type
 // bitmap, max severity) frozen, and queries prune whole sealed segments on
 // the zone map before touching any column. Sealed segments serialize
@@ -13,6 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "monitor/event.h"
@@ -42,7 +43,7 @@ struct SegmentZone {
 };
 
 /// One struct-of-arrays run of events. Open segments accept appends and keep
-/// a dictionary index; seal() freezes the zone map and drops the index.
+/// a text-dictionary index; seal() freezes the zone map and drops the index.
 class Segment {
  public:
   explicit Segment(std::size_t expected_rows = 0);
@@ -68,13 +69,15 @@ class Segment {
   /// Pointer to the row with the given id, or nullptr (ids are monotone).
   std::optional<std::size_t> find_id(std::uint64_t id) const;
 
-  /// True when `subject` appears in this segment's dictionary. Scans the
-  /// distinct strings, not the rows, so it doubles as a subject zone map.
-  bool contains_subject(const std::string& subject) const;
+  /// False when no row can have `subject`: a text subject must open one of
+  /// the dictionary's strings (a scan of the distinct strings, not the
+  /// rows). Typed subjects are not pruned; their rows compare integers.
+  bool may_contain_subject(const SubjectKey& subject) const;
+  /// True when row `i`'s subject is `subject`.
+  bool subject_matches(std::size_t i, const SubjectKey& subject) const;
 
   const std::vector<SimTime>& times() const { return times_; }
   const std::vector<std::uint8_t>& types() const { return types_; }
-  const std::string& subject_at(std::size_t i) const { return dict_[subjects_[i]]; }
 
   std::size_t memory_bytes() const;
 
@@ -82,7 +85,8 @@ class Segment {
   void encode(pkt::BufferWriter& w) const;
   std::vector<std::uint8_t> encode_blob() const;
   /// Rejects corrupt input (bad magic/version, oversized counts, dangling
-  /// dictionary or flow references, non-monotone times/ids).
+  /// dictionary or flow references, rows that are not well formed,
+  /// non-monotone times/ids).
   static std::optional<Segment> decode(pkt::BufferReader& r);
   static std::optional<Segment> decode_blob(std::span<const std::uint8_t> blob);
   /// Parses only the blob's fixed header (magic, version, zone map) — lets a
@@ -92,6 +96,8 @@ class Segment {
 
  private:
   std::uint32_t intern(const std::string& s);
+  /// Dictionary string of row `i`, or nullptr for a typed row.
+  const std::string* text_at(std::size_t i) const;
 
   SegmentZone zone_;
   bool sealed_ = false;
@@ -100,27 +106,28 @@ class Segment {
   std::vector<std::uint64_t> ids_;
   std::vector<SimTime> times_;
   std::vector<std::uint8_t> types_;
-  std::vector<std::uint32_t> subjects_;  // index into dict_
-  std::vector<std::uint32_t> details_;   // index into dict_
+  std::vector<std::uint8_t> subject_kinds_;
+  std::vector<std::uint64_t> subject_values_;
+  std::vector<std::uint8_t> detail_kinds_;
+  std::vector<std::uint64_t> detail_a_;
+  std::vector<std::uint64_t> detail_b_;
   std::vector<std::uint64_t> dpids_;
   std::vector<std::uint64_t> se_ids_;
   std::vector<std::uint8_t> severities_;
 
-  /// Shared subject/detail dictionary: distinct strings stored once.
+  /// Free text of the text rows (NetworkEvent::text), distinct strings
+  /// stored once.
   std::vector<std::string> dict_;
   std::size_t dict_bytes_ = 0;
 
-  /// Flow keys are sparse (most events carry none): stored as
-  /// (row index, key) pairs instead of a 29-byte column.
+  /// Flow keys and texts are sparse, so each is stored as (row index, value)
+  /// pairs sorted by row instead of a full column.
   std::vector<std::pair<std::uint32_t, pkt::FlowKey>> flows_;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> texts_;  // (row, dict_ index)
 
-  /// Open-segment dictionary index; dropped on seal.
-  struct DictSlot {
-    std::uint64_t hash = 0;
-    std::uint32_t index = 0;
-  };
-  std::vector<DictSlot> dict_index_;  // open-addressed, power-of-two
-  std::size_t dict_index_used_ = 0;
+  /// Open-segment dictionary index (text rows are rare, so a plain hash
+  /// map); dropped on seal.
+  std::unordered_map<std::string, std::uint32_t> dict_index_;
 };
 
 /// A time-ordered run of sealed segments plus one open tail segment.
@@ -150,7 +157,7 @@ class ColumnStore {
                         const std::function<void(const NetworkEvent&)>& visit) const;
 
   /// Most-recent-first subject scan, newest segment first, dictionary-pruned.
-  void scan_subject(const std::string& subject, std::size_t limit,
+  void scan_subject(const SubjectKey& subject, std::size_t limit,
                     const std::function<void(const NetworkEvent&)>& visit) const;
 
   const NetworkEvent* find_id(std::uint64_t id) const;

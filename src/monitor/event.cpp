@@ -1,5 +1,6 @@
 #include "monitor/event.h"
 
+#include <charconv>
 #include <cstdio>
 #include <sstream>
 
@@ -34,15 +35,7 @@ const char* event_type_name(EventType type) {
   return "?";
 }
 
-std::string NetworkEvent::to_string() const {
-  std::ostringstream out;
-  out << format_time(time) << " [" << event_type_name(type) << "] " << subject;
-  if (!detail.empty()) out << " (" << detail << ")";
-  if (severity > 0) out << " sev=" << static_cast<int>(severity);
-  return out.str();
-}
-
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -71,12 +64,139 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
+// --- subjects ------------------------------------------------------------------
+
+namespace {
+
+std::string render_subject(SubjectKind kind, std::uint64_t value, std::string_view text) {
+  switch (kind) {
+    case SubjectKind::kNone: return {};
+    case SubjectKind::kText: return std::string(text);
+    case SubjectKind::kMac: return MacAddress::from_uint64(value).to_string();
+    case SubjectKind::kSe: return "se" + std::to_string(value);
+  }
+  return {};
+}
+
+}  // namespace
+
+SubjectKey SubjectKey::parse(std::string_view s) {
+  if (s.empty()) return {};
+  if (const auto mac = MacAddress::parse(s); mac && mac->to_string() == s) {
+    return {SubjectKind::kMac, mac->to_uint64(), {}};
+  }
+  if (s.size() > 2 && s.substr(0, 2) == "se") {
+    std::uint64_t id = 0;
+    const char* end = s.data() + s.size();
+    const auto [ptr, ec] = std::from_chars(s.data() + 2, end, id);
+    // Canonical only: no sign, no leading zero, no overflow.
+    if (ec == std::errc() && ptr == end && "se" + std::to_string(id) == s) {
+      return {SubjectKind::kSe, id, {}};
+    }
+  }
+  return {SubjectKind::kText, 0, std::string(s)};
+}
+
+SubjectKey SubjectKey::of(const NetworkEvent& event) {
+  if (event.subject.kind == SubjectKind::kText) {
+    return {SubjectKind::kText, 0, std::string(event.subject_text())};
+  }
+  return {event.subject.kind, event.subject.value, {}};
+}
+
+std::string SubjectKey::to_string() const { return render_subject(kind, value, text); }
+
+// --- NetworkEvent ----------------------------------------------------------------
+
+void NetworkEvent::set_subject(Subject s) {
+  if (subject.kind == SubjectKind::kText) text.erase(0, subject.value);
+  subject = s;
+}
+
+void NetworkEvent::set_subject(std::string_view s) {
+  SubjectKey key = SubjectKey::parse(s);
+  if (key.kind != SubjectKind::kText) {
+    set_subject(Subject{key.kind, key.value});
+    return;
+  }
+  set_subject(Subject{});
+  text.insert(0, key.text);
+  subject = Subject{SubjectKind::kText, key.text.size()};
+}
+
+void NetworkEvent::set_detail(Detail d) {
+  if (detail.kind == DetailKind::kText) text.resize(text.size() - detail_text().size());
+  detail = d;
+}
+
+void NetworkEvent::set_detail(std::string_view s) {
+  set_detail(Detail{});
+  if (s.empty()) return;
+  text.append(s);
+  detail = Detail{DetailKind::kText, 0, 0};
+}
+
+std::string_view NetworkEvent::subject_text() const {
+  if (subject.kind != SubjectKind::kText) return {};
+  return std::string_view(text).substr(0, subject.value);
+}
+
+std::string_view NetworkEvent::detail_text() const {
+  if (detail.kind != DetailKind::kText) return {};
+  return std::string_view(text).substr(subject.kind == SubjectKind::kText ? subject.value : 0);
+}
+
+std::string NetworkEvent::subject_string() const {
+  return render_subject(subject.kind, subject.value, subject_text());
+}
+
+std::string NetworkEvent::detail_string() const {
+  switch (detail.kind) {
+    case DetailKind::kNone: return {};
+    case DetailKind::kText: return std::string(detail_text());
+    case DetailKind::kFlowPath:
+      return detail.a == 0 ? flow.to_string()
+                           : flow.to_string() + " via " + std::to_string(detail.a) + " SE";
+    case DetailKind::kFlowCounters:
+      return "pkts=" + std::to_string(detail.a) + " bytes=" + std::to_string(detail.b);
+    case DetailKind::kTornDown: return "torn down";
+  }
+  return {};
+}
+
+bool NetworkEvent::well_formed() const {
+  if (subject.kind > SubjectKind::kSe || detail.kind > DetailKind::kTornDown) {
+    return false;
+  }
+  if ((subject.kind == SubjectKind::kNone && subject.value != 0) ||
+      (subject.kind == SubjectKind::kMac && subject.value >> 48 != 0)) {
+    return false;
+  }
+  std::size_t subject_bytes = 0;
+  if (subject.kind == SubjectKind::kText) {
+    if (subject.value == 0 || subject.value > text.size()) return false;
+    subject_bytes = static_cast<std::size_t>(subject.value);
+    if (SubjectKey::parse(subject_text()).kind != SubjectKind::kText) return false;
+  }
+  // A text detail owns the (non-empty) rest of `text`; otherwise there is none.
+  return detail.kind == DetailKind::kText ? text.size() > subject_bytes
+                                          : text.size() == subject_bytes;
+}
+
+std::string NetworkEvent::to_string() const {
+  std::ostringstream out;
+  out << format_time(time) << " [" << event_type_name(type) << "] " << subject_string();
+  if (detail.kind != DetailKind::kNone) out << " (" << detail_string() << ")";
+  if (severity > 0) out << " sev=" << static_cast<int>(severity);
+  return out.str();
+}
+
 std::string NetworkEvent::to_json() const {
   std::ostringstream out;
   out << "{\"id\":" << id << ",\"t\":" << time << ",\"type\":\"" << event_type_name(type)
-      << "\",\"subject\":\"" << json_escape(subject) << "\",\"detail\":\"" << json_escape(detail)
-      << "\",\"dpid\":" << dpid << ",\"se\":" << se_id << ",\"sev\":" << static_cast<int>(severity)
-      << "}";
+      << "\",\"subject\":\"" << json_escape(subject_string()) << "\",\"detail\":\""
+      << json_escape(detail_string()) << "\",\"dpid\":" << dpid << ",\"se\":" << se_id
+      << ",\"sev\":" << static_cast<int>(severity) << "}";
   return out.str();
 }
 

@@ -9,64 +9,84 @@ namespace livesec::mon {
 
 namespace {
 constexpr std::uint32_t kPipelineMagic = 0x4C504950;  // "LPIP"
-constexpr std::uint8_t kPipelineVersion = 1;
+// v2: typed rows and Top-K keys (v1 stored subject/detail strings).
+constexpr std::uint8_t kPipelineVersion = 2;
 constexpr std::uint32_t kRowsMagic = 0x4C424154;  // "LBAT"
-// v2 carries the id range (min, max) in the header so consumers on the
+// v2 carried the id range (min, max) in the header so consumers on the
 // replication hot path (standby stash, snapshot fold) can classify a batch
-// without walking its rows.
-constexpr std::uint8_t kRowsVersion = 2;
+// without walking its rows; v3 rows are typed (subject/detail kinds and
+// varint values) instead of carrying subject/detail strings.
+constexpr std::uint8_t kRowsVersion = 3;
 /// Header: u32 magic, u8 version, u32 count, u64 id_min, u64 id_max.
 constexpr std::size_t kRowsCountOffset = 5;
 constexpr std::size_t kRowsIdMinOffset = 9;
 constexpr std::size_t kRowsIdMaxOffset = 17;
-/// Minimum wire bytes per row in the row-batch encoding (see encode_rows).
-constexpr std::size_t kRowWireBytes = 42;
+/// Fixed row bytes: id(8) + time(8) + type(1) + subject kind(1) + detail
+/// kind(1) + severity(1) + flow key.
+constexpr std::size_t kRowFixedBytes = 20 + pkt::FlowKey::kWireBytes;
+/// Minimum wire bytes per row: the fixed part plus six one-byte varints
+/// (subject value, detail a/b, dpid, se_id, text length).
+constexpr std::size_t kRowWireBytes = kRowFixedBytes + 6;
 
 void encode_row(pkt::BufferWriter& w, const NetworkEvent& e) {
   // This path runs once per event on the active's replication tap, so the
-  // whole row — fixed fields and strings — is written straight into the
-  // buffer through one extend (a single growth check) instead of a writer
-  // call per field.
-  const std::size_t need = 38 + pkt::FlowKey::kWireBytes + e.subject.size() + e.detail.size();
+  // whole row is sized first and written through one extend (a single
+  // growth check) instead of a writer call per field.
+  const std::size_t need = kRowFixedBytes + pkt::varint_size(e.subject.value) +
+                           pkt::varint_size(e.detail.a) + pkt::varint_size(e.detail.b) +
+                           pkt::varint_size(e.dpid) + pkt::varint_size(e.se_id) +
+                           pkt::varint_size(e.text.size()) + e.text.size();
   std::uint8_t* p = w.extend(need);
   pkt::store_u64(p, e.id);
   pkt::store_u64(p + 8, static_cast<std::uint64_t>(e.time));
   p[16] = static_cast<std::uint8_t>(e.type);
-  p += 17;
-  pkt::store_u16(p, static_cast<std::uint16_t>(e.subject.size()));
-  std::copy(e.subject.begin(), e.subject.end(), reinterpret_cast<char*>(p + 2));
-  p += 2 + e.subject.size();
-  pkt::store_u16(p, static_cast<std::uint16_t>(e.detail.size()));
-  std::copy(e.detail.begin(), e.detail.end(), reinterpret_cast<char*>(p + 2));
-  p += 2 + e.detail.size();
-  pkt::store_u64(p, e.dpid);
-  pkt::store_u64(p + 8, e.se_id);
-  p[16] = e.severity;
-  e.flow.encode_to(p + 17);
+  p[17] = static_cast<std::uint8_t>(e.subject.kind);
+  p += 18;
+  p += pkt::store_varint(p, e.subject.value);
+  *p++ = static_cast<std::uint8_t>(e.detail.kind);
+  p += pkt::store_varint(p, e.detail.a);
+  p += pkt::store_varint(p, e.detail.b);
+  p += pkt::store_varint(p, e.dpid);
+  p += pkt::store_varint(p, e.se_id);
+  *p++ = e.severity;
+  p += pkt::store_varint(p, e.text.size());
+  std::copy(e.text.begin(), e.text.end(), reinterpret_cast<char*>(p));
+  e.flow.encode_to(p + e.text.size());
 }
 
+/// Decodes one row; the caller checks r.ok() and well_formed().
 NetworkEvent decode_row(pkt::BufferReader& r) {
   NetworkEvent e;
   e.id = r.u64();
   e.time = static_cast<SimTime>(r.u64());
   e.type = static_cast<EventType>(r.u8());
-  e.subject = r.length_prefixed_string();
-  e.detail = r.length_prefixed_string();
-  e.dpid = r.u64();
-  e.se_id = r.u64();
+  e.subject.kind = static_cast<SubjectKind>(r.u8());
+  e.subject.value = r.varint();
+  e.detail.kind = static_cast<DetailKind>(r.u8());
+  e.detail.a = r.varint();
+  e.detail.b = r.varint();
+  e.dpid = r.varint();
+  e.se_id = r.varint();
   e.severity = r.u8();
+  const std::uint64_t text_bytes = r.varint();
+  if (text_bytes > r.remaining()) return e;  // truncated: the caller sees !ok()
+  e.text = r.string(static_cast<std::size_t>(text_bytes));
   e.flow = pkt::FlowKey::decode(r);
   return e;
 }
 }  // namespace
 
+void RowBatchEncoder::write_header() {
+  writer_.u32(kRowsMagic);
+  writer_.u8(kRowsVersion);
+  writer_.u32(0);  // row count, patched in take()
+  writer_.u64(0);  // id_min, patched in take()
+  writer_.u64(0);  // id_max, patched in take()
+}
+
 void RowBatchEncoder::add(const NetworkEvent& event) {
   if (rows_ == 0) {
-    writer_.u32(kRowsMagic);
-    writer_.u8(kRowsVersion);
-    writer_.u32(0);  // row count, patched in take()
-    writer_.u64(0);  // id_min, patched in take()
-    writer_.u64(0);  // id_max, patched in take()
+    write_header();
     id_min_ = event.id;
     id_max_ = event.id;
   } else {
@@ -78,6 +98,7 @@ void RowBatchEncoder::add(const NetworkEvent& event) {
 }
 
 std::vector<std::uint8_t> RowBatchEncoder::take() {
+  if (rows_ == 0) write_header();  // an empty batch is a bare header
   // Copy out at exact size and keep the writer's capacity: steady-state the
   // encoder never re-grows, where moving the vector out would restart the
   // doubling climb from zero on every batch.
@@ -233,12 +254,13 @@ std::vector<NetworkEvent> EventPipeline::query_type(EventType type, SimTime from
 std::vector<NetworkEvent> EventPipeline::query_subject(const std::string& subject,
                                                        std::size_t limit) const {
   ensure_drained();
+  const SubjectKey key = SubjectKey::parse(subject);
   std::vector<NetworkEvent> out;
   for (auto it = staging_.rbegin(); it != staging_.rend() && out.size() < limit; ++it) {
-    if (it->subject == subject) out.push_back(*it);
+    if (SubjectKey::of(*it) == key) out.push_back(*it);
   }
   if (out.size() < limit) {
-    columns_.scan_subject(subject, limit - out.size(),
+    columns_.scan_subject(key, limit - out.size(),
                           [&out](const NetworkEvent& e) { out.push_back(e); });
   }
   return out;
@@ -290,7 +312,7 @@ std::string EventPipeline::to_json(SimTime from, SimTime to) const {
 std::size_t EventPipeline::memory_bytes() const {
   std::size_t staging_bytes = staging_.capacity() * sizeof(NetworkEvent);
   for (const StashEntry& entry : stash_) staging_bytes += entry.blob.size();
-  for (const NetworkEvent& e : staging_) staging_bytes += e.subject.size() + e.detail.size();
+  for (const NetworkEvent& e : staging_) staging_bytes += e.text.size();
   const std::size_t rollup_bytes =
       rollups_.bucket_count() * sizeof(RollupStore::Bucket) +
       (rollups_.subjects().entries() + rollups_.protocols().entries()) * 64;
@@ -301,20 +323,9 @@ std::size_t EventPipeline::memory_bytes() const {
 // --- persistence -------------------------------------------------------------
 
 std::vector<std::uint8_t> EventPipeline::encode_rows(std::span<const NetworkEvent> rows) {
-  std::uint64_t id_min = 0;
-  std::uint64_t id_max = 0;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    id_min = (i == 0) ? rows[i].id : std::min(id_min, rows[i].id);
-    id_max = std::max(id_max, rows[i].id);
-  }
-  pkt::BufferWriter w;
-  w.u32(kRowsMagic);
-  w.u8(kRowsVersion);
-  w.u32(static_cast<std::uint32_t>(rows.size()));
-  w.u64(id_min);
-  w.u64(id_max);
-  for (const NetworkEvent& e : rows) encode_row(w, e);
-  return w.take();
+  RowBatchEncoder encoder;
+  for (const NetworkEvent& e : rows) encoder.add(e);
+  return encoder.take();
 }
 
 std::optional<EventPipeline::RowsPeek> EventPipeline::peek_rows(
@@ -353,7 +364,7 @@ std::optional<std::vector<NetworkEvent>> EventPipeline::decode_rows(
   std::uint64_t seen_max = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
     rows.push_back(decode_row(r));
-    if (!r.ok()) return std::nullopt;
+    if (!r.ok() || !rows.back().well_formed()) return std::nullopt;
     const std::uint64_t id = rows.back().id;
     seen_min = (i == 0) ? id : std::min(seen_min, id);
     seen_max = std::max(seen_max, id);
@@ -554,16 +565,7 @@ std::vector<std::uint8_t> EventPipeline::serialize() const {
     w.u32(s.zone.type_mask);
     w.u8(s.zone.severity_max);
     w.u32(s.zone.rows);
-    std::uint8_t non_zero = 0;
-    for (std::uint32_t c : s.by_type) {
-      if (c != 0) ++non_zero;
-    }
-    w.u8(non_zero);
-    for (std::size_t slot = 0; slot < s.by_type.size(); ++slot) {
-      if (s.by_type[slot] == 0) continue;
-      w.u8(static_cast<std::uint8_t>(slot));
-      w.u32(s.by_type[slot]);
-    }
+    encode_type_counts(w, s.by_type);
   }
   const auto blobs = export_segment_blobs();
   w.u32(static_cast<std::uint32_t>(blobs.size()));
@@ -571,14 +573,10 @@ std::vector<std::uint8_t> EventPipeline::serialize() const {
     w.u32(static_cast<std::uint32_t>(blob.size()));
     w.bytes(blob);
   }
-  // Open + staging rows, oldest first.
-  std::vector<NetworkEvent> open_rows;
-  const Segment& open = columns_.open_segment();
-  open_rows.reserve(open.rows() + staging_.size());
-  for (std::size_t i = 0; i < open.rows(); ++i) open_rows.push_back(open.row(i));
-  open_rows.insert(open_rows.end(), staging_.begin(), staging_.end());
+  // Open + staging rows, oldest first, as one row batch.
+  const std::vector<std::uint8_t> open_rows = export_open_rows();
   w.u32(static_cast<std::uint32_t>(open_rows.size()));
-  for (const NetworkEvent& e : open_rows) encode_row(w, e);
+  w.bytes(open_rows);
   rollups_.encode(w);
   return w.take();
 }
@@ -603,15 +601,7 @@ std::optional<EventPipeline> EventPipeline::deserialize(std::span<const std::uin
     s.zone.type_mask = r.u32();
     s.zone.severity_max = r.u8();
     s.zone.rows = r.u32();
-    const std::uint8_t non_zero = r.u8();
-    if (!r.ok() || non_zero > kEventTypeSlots) return std::nullopt;
-    for (std::uint8_t j = 0; j < non_zero; ++j) {
-      const std::uint8_t slot = r.u8();
-      const std::uint32_t count = r.u32();
-      if (slot >= kEventTypeSlots) return std::nullopt;
-      s.by_type[slot] = count;
-    }
-    if (!r.ok()) return std::nullopt;
+    if (!decode_type_counts(r, s.by_type)) return std::nullopt;
     out.summaries_.push_back(s);
   }
   const std::uint32_t segment_count = r.u32();
@@ -629,14 +619,15 @@ std::optional<EventPipeline> EventPipeline::deserialize(std::span<const std::uin
     out.columns_.rows_ += segment->rows();
     out.columns_.sealed_.push_back(std::move(*segment));
   }
-  const std::uint32_t open_count = r.u32();
-  if (!r.ok() || open_count > r.remaining() / kRowWireBytes) return std::nullopt;
+  const std::uint32_t open_bytes = r.u32();
+  if (!r.ok() || open_bytes > r.remaining()) return std::nullopt;
+  const auto open_rows = open_bytes == 0 ? std::optional(std::vector<NetworkEvent>{})
+                                          : decode_rows(r.bytes(open_bytes));
+  if (!open_rows) return std::nullopt;
   SimTime prev_time = out.columns_.sealed_segments() > 0
                           ? out.columns_.sealed().back().zone().time_max
                           : 0;
-  for (std::uint32_t i = 0; i < open_count; ++i) {
-    NetworkEvent e = decode_row(r);
-    if (!r.ok()) return std::nullopt;
+  for (const NetworkEvent& e : *open_rows) {
     if (e.id <= prev_id_max || e.time < prev_time) return std::nullopt;
     prev_id_max = e.id;
     prev_time = e.time;

@@ -22,7 +22,6 @@
 #include "monitor/column_store.h"
 #include "packet/buffer.h"
 #include "monitor/event.h"
-#include "monitor/event_batch.h"
 #include "monitor/rollup.h"
 
 namespace livesec::mon {
@@ -41,15 +40,16 @@ class RowBatchEncoder {
   void clear();
 
  private:
+  void write_header();
+
   pkt::BufferWriter writer_;
   std::uint32_t rows_ = 0;
   std::uint64_t id_min_ = 0;
   std::uint64_t id_max_ = 0;
 };
 
-/// Columnar event store + streaming rollups + tiered retention behind the
-/// same query surface the legacy EventStore exposed (the WebUI, controller
-/// and tests are source-compatible).
+/// Columnar event store + streaming rollups + tiered retention: the event
+/// database the controller, the WebUI and the HA replicas query.
 class EventPipeline {
  public:
   struct Config {
@@ -77,7 +77,7 @@ class EventPipeline {
   /// counts remain.
   struct SegmentSummary {
     SegmentZone zone;
-    std::array<std::uint32_t, kEventTypeSlots> by_type{};
+    TypeCounts by_type{};
   };
 
   struct Counters {
@@ -101,8 +101,8 @@ class EventPipeline {
   /// clamped to the last accepted time (counted in counters().clamped).
   std::uint64_t append(NetworkEvent event);
 
-  /// Bulk ingest: drains an emitter's staging batch. Returns rows appended.
-  std::size_t append_batch(EventBatch&& batch) { return append_batch(batch.take()); }
+  /// Bulk ingest: an emitter stages a burst (ids and final times are
+  /// assigned here) and hands it over in one call. Returns rows appended.
   std::size_t append_batch(std::vector<NetworkEvent> rows);
 
   /// Observer invoked once per live-appended row after id/time assignment
@@ -118,7 +118,7 @@ class EventPipeline {
     seal_observer_ = std::move(observer);
   }
 
-  // --- EventStore-compatible queries -----------------------------------------
+  // --- queries ---------------------------------------------------------------
 
   /// Full-fidelity rows currently held (staging + columns + stashed restores).
   std::size_t size() const {
@@ -192,7 +192,7 @@ class EventPipeline {
       std::span<const std::uint8_t> blob);
 
   /// O(1) header read over a row-batch blob: row count and max id straight
-  /// from the v2 header, no row walk. Validates magic/version, a minimum
+  /// from the header, no row walk. Validates magic/version, a minimum
   /// body size for the claimed count, and id-range sanity; full byte
   /// accounting (and header-vs-rows id agreement) is enforced by decode_rows
   /// when the blob is consumed. Nullopt on corrupt input.

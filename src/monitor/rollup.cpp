@@ -5,7 +5,35 @@
 
 namespace livesec::mon {
 
-void TopK::ingest(const std::string& key) {
+void encode_type_counts(pkt::BufferWriter& w, const TypeCounts& counts) {
+  const auto non_zero = std::count_if(counts.begin(), counts.end(),
+                                      [](std::uint32_t c) { return c != 0; });
+  w.u8(static_cast<std::uint8_t>(non_zero));
+  for (std::size_t slot = 0; slot < counts.size(); ++slot) {
+    if (counts[slot] == 0) continue;
+    w.u8(static_cast<std::uint8_t>(slot));
+    w.u32(counts[slot]);
+  }
+}
+
+bool decode_type_counts(pkt::BufferReader& r, TypeCounts& counts) {
+  const std::uint8_t non_zero = r.u8();
+  if (!r.ok() || non_zero > kEventTypeSlots) return false;
+  for (std::uint8_t j = 0; j < non_zero; ++j) {
+    const std::uint8_t slot = r.u8();
+    const std::uint32_t count = r.u32();
+    if (slot >= kEventTypeSlots) return false;
+    counts[slot] = count;
+  }
+  return r.ok();
+}
+
+std::size_t TopK::KeyHash::operator()(const SubjectKey& key) const noexcept {
+  const std::uint64_t typed = (key.value * 0x9E3779B97F4A7C15ull) ^ static_cast<std::uint8_t>(key.kind);
+  return static_cast<std::size_t>(typed ^ std::hash<std::string>{}(key.text));
+}
+
+void TopK::ingest(const SubjectKey& key) {
   ++ingested_;
   auto it = counts_.find(key);
   if (it != counts_.end()) {
@@ -27,7 +55,9 @@ void TopK::ingest(const std::string& key) {
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> TopK::top(std::size_t k) const {
-  std::vector<std::pair<std::string, std::uint64_t>> out(counts_.begin(), counts_.end());
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  out.reserve(counts_.size());
+  for (const auto& [key, count] : counts_) out.emplace_back(key.to_string(), count);
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
     return a.first < b.first;
@@ -40,11 +70,13 @@ void TopK::encode(pkt::BufferWriter& w) const {
   w.u32(static_cast<std::uint32_t>(capacity_));
   w.u64(ingested_);
   // Key-sorted so the encoding is byte-identical across runs.
-  std::vector<std::pair<std::string, std::uint64_t>> sorted(counts_.begin(), counts_.end());
+  std::vector<std::pair<SubjectKey, std::uint64_t>> sorted(counts_.begin(), counts_.end());
   std::sort(sorted.begin(), sorted.end());
   w.u32(static_cast<std::uint32_t>(sorted.size()));
   for (const auto& [key, count] : sorted) {
-    w.length_prefixed_string(key);
+    w.u8(static_cast<std::uint8_t>(key.kind));
+    w.u64(key.value);
+    w.length_prefixed_string(key.text);
     w.u64(count);
   }
 }
@@ -53,11 +85,16 @@ std::optional<TopK> TopK::decode(pkt::BufferReader& r) {
   TopK out(r.u32());
   out.ingested_ = r.u64();
   const std::uint32_t entries = r.u32();
-  if (!r.ok() || entries > r.remaining() / 10) return std::nullopt;
+  if (!r.ok() || entries > r.remaining() / 19) return std::nullopt;
   for (std::uint32_t i = 0; i < entries; ++i) {
-    std::string key = r.length_prefixed_string();
+    SubjectKey key;
+    key.kind = static_cast<SubjectKind>(r.u8());
+    key.value = r.u64();
+    key.text = r.length_prefixed_string();
     const std::uint64_t count = r.u64();
-    if (!r.ok()) return std::nullopt;
+    // Only the canonical form of a key is accepted, so equal keys render
+    // equally.
+    if (!r.ok() || SubjectKey::parse(key.to_string()) != key) return std::nullopt;
     out.counts_.emplace(std::move(key), count);
   }
   if (out.counts_.size() > out.capacity_) return std::nullopt;
@@ -78,9 +115,9 @@ void RollupStore::ingest(const NetworkEvent& event) {
   ++bucket.total;
   bucket.severity_max = std::max(bucket.severity_max, event.severity);
 
-  if (!event.subject.empty()) subjects_.ingest(event.subject);
-  if (event.type == EventType::kProtocolIdentified && !event.detail.empty()) {
-    protocols_.ingest(event.detail);
+  if (event.subject.kind != SubjectKind::kNone) subjects_.ingest(SubjectKey::of(event));
+  if (event.type == EventType::kProtocolIdentified && event.detail.kind != DetailKind::kNone) {
+    protocols_.ingest(SubjectKey::parse(event.detail_string()));
   }
 }
 
@@ -163,17 +200,7 @@ void RollupStore::encode(pkt::BufferWriter& w) const {
     w.u64(static_cast<std::uint64_t>(b.start));
     w.u64(b.total);
     w.u8(b.severity_max);
-    // Sparse per-type pairs: (slot, count) for non-zero slots.
-    std::uint8_t non_zero = 0;
-    for (std::uint32_t c : b.by_type) {
-      if (c != 0) ++non_zero;
-    }
-    w.u8(non_zero);
-    for (std::size_t slot = 0; slot < b.by_type.size(); ++slot) {
-      if (b.by_type[slot] == 0) continue;
-      w.u8(static_cast<std::uint8_t>(slot));
-      w.u32(b.by_type[slot]);
-    }
+    encode_type_counts(w, b.by_type);
   }
   subjects_.encode(w);
   protocols_.encode(w);
@@ -192,15 +219,7 @@ std::optional<RollupStore> RollupStore::decode(pkt::BufferReader& r) {
     b.start = static_cast<SimTime>(r.u64());
     b.total = r.u64();
     b.severity_max = r.u8();
-    const std::uint8_t non_zero = r.u8();
-    if (!r.ok() || non_zero > kEventTypeSlots) return std::nullopt;
-    for (std::uint8_t j = 0; j < non_zero; ++j) {
-      const std::uint8_t slot = r.u8();
-      const std::uint32_t count = r.u32();
-      if (slot >= kEventTypeSlots) return std::nullopt;
-      b.by_type[slot] = count;
-    }
-    if (!r.ok()) return std::nullopt;
+    if (!decode_type_counts(r, b.by_type)) return std::nullopt;
     if (!out.buckets_.empty() && b.start <= out.buckets_.back().start) return std::nullopt;
     out.buckets_.push_back(b);
   }

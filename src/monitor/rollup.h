@@ -19,19 +19,29 @@
 
 namespace livesec::mon {
 
+/// Event counts indexed by raw EventType value.
+using TypeCounts = std::array<std::uint32_t, kEventTypeSlots>;
+
+/// Sparse codec for TypeCounts: a count of non-zero slots, then (slot,
+/// count) pairs. decode rejects out-of-range slots and truncation.
+void encode_type_counts(pkt::BufferWriter& w, const TypeCounts& counts);
+bool decode_type_counts(pkt::BufferReader& r, TypeCounts& counts);
+
 /// Misra-Gries heavy-hitter sketch: at most `capacity` counters; when a new
 /// key arrives with the table full, every counter is decremented (amortized
 /// O(1) per ingest) and zeroed entries are dropped. Any key with true
 /// frequency > N / capacity is guaranteed to survive. Deterministic: the
-/// decrement step is order-independent and top() sorts (count desc, key asc).
+/// decrement step is order-independent and top() sorts (count desc, rendered
+/// key asc). Keys are typed subjects, so a MAC or SE key is counted without
+/// formatting it; keys are rendered only by top().
 class TopK {
  public:
   explicit TopK(std::size_t capacity = 512) : capacity_(capacity) {}
 
-  void ingest(const std::string& key);
+  void ingest(const SubjectKey& key);
 
-  /// The k largest surviving counters, count-descending (key-ascending tie
-  /// break so the output is deterministic).
+  /// The k largest surviving counters, count-descending, ties broken by the
+  /// rendered key ascending so the output is deterministic.
   std::vector<std::pair<std::string, std::uint64_t>> top(std::size_t k) const;
 
   std::size_t entries() const { return counts_.size(); }
@@ -43,7 +53,10 @@ class TopK {
  private:
   std::size_t capacity_;
   std::uint64_t ingested_ = 0;
-  std::unordered_map<std::string, std::uint64_t> counts_;
+  struct KeyHash {
+    std::size_t operator()(const SubjectKey& key) const noexcept;
+  };
+  std::unordered_map<SubjectKey, std::uint64_t, KeyHash> counts_;
 };
 
 /// Ingest-time aggregates over the whole event stream: fixed-width time
@@ -54,7 +67,7 @@ class RollupStore {
  public:
   struct Bucket {
     SimTime start = 0;
-    std::array<std::uint32_t, kEventTypeSlots> by_type{};
+    TypeCounts by_type{};
     std::uint64_t total = 0;
     std::uint8_t severity_max = 0;
   };

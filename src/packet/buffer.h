@@ -1,6 +1,7 @@
 // Big-endian byte buffer used by all wire codecs.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -53,6 +54,8 @@ class BufferWriter {
     u16(static_cast<std::uint16_t>(s.size()));
     string(s);
   }
+  /// LEB128 varint: 7 bits per byte, low group first (1 byte below 128).
+  inline void varint(std::uint64_t v);
 
   std::size_t size() const { return data_.size(); }
   const std::vector<std::uint8_t>& data() const { return data_; }
@@ -83,6 +86,24 @@ inline void store_u64(std::uint8_t* p, std::uint64_t v) {
   store_u32(p, static_cast<std::uint32_t>(v >> 32));
   store_u32(p + 4, static_cast<std::uint32_t>(v));
 }
+
+/// Bytes store_varint writes for `v` (1..10).
+inline std::size_t varint_size(std::uint64_t v) {
+  return 1 + static_cast<std::size_t>(std::bit_width(v | 1) - 1) / 7;
+}
+
+/// Writes `v` as a LEB128 varint and returns the bytes written.
+inline std::size_t store_varint(std::uint8_t* p, std::uint64_t v) {
+  std::size_t n = 0;
+  while (v >= 0x80) {
+    p[n++] = static_cast<std::uint8_t>(v | 0x80);
+    v >>= 7;
+  }
+  p[n++] = static_cast<std::uint8_t>(v);
+  return n;
+}
+
+inline void BufferWriter::varint(std::uint64_t v) { store_varint(extend(varint_size(v)), v); }
 
 // In-place big-endian patches over an already-serialized buffer. The flow
 // fast path serializes control messages once and replays them per flow with
@@ -151,6 +172,19 @@ class BufferReader {
   std::string length_prefixed_string() {
     const std::uint16_t n = u16();
     return string(n);
+  }
+  /// Reads a LEB128 varint; an overlong or unterminated one sets the error.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t byte = u8();
+      if (!ok_) return 0;
+      if (shift == 63 && byte > 1) break;
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) return v;
+    }
+    ok_ = false;
+    return 0;
   }
   void skip(std::size_t n) {
     if (ensure(n)) pos_ += n;

@@ -105,7 +105,7 @@ TEST(ControllerEdge, CustomSeRulesetDetectsCustomMarker) {
   const auto attacks = net.network.controller().events().query_type(
       mon::EventType::kAttackDetected, 0, INT64_MAX);
   ASSERT_GE(attacks.size(), 1u);
-  EXPECT_EQ(attacks[0].detail, "custom.marker");
+  EXPECT_EQ(attacks[0].detail_string(), "custom.marker");
 }
 
 TEST(ControllerEdge, DhcpNakOnPoolExhaustion) {

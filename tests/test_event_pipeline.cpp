@@ -1,19 +1,18 @@
 // Tests for the event-storm monitoring pipeline (DESIGN.md §12): columnar
 // segments with zone maps, streaming rollups, retention tiers, and the
 // segment-granular HA export/restore path. The pipeline must stay
-// query-equivalent to the legacy row-store on any event stream.
+// query-equivalent to a naive row-at-a-time filter on any event stream.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "monitor/column_store.h"
-#include "monitor/event_batch.h"
 #include "monitor/event_pipeline.h"
-#include "monitor/event_store.h"
 #include "monitor/rollup.h"
 #include "tiny_json.h"
 
@@ -22,11 +21,11 @@ namespace {
 
 using livesec::testing::TinyJsonValidator;
 
-NetworkEvent make_event(SimTime t, EventType type, std::string subject = "s") {
+NetworkEvent make_event(SimTime t, EventType type, std::string_view subject = "s") {
   NetworkEvent e;
   e.time = t;
   e.type = type;
-  e.subject = std::move(subject);
+  e.set_subject(subject);
   return e;
 }
 
@@ -46,8 +45,21 @@ std::vector<NetworkEvent> synthetic_stream(std::size_t n, std::uint64_t seed = 0
     t += static_cast<SimTime>(r % 3);  // stalls and jumps
     e.time = t;
     e.type = static_cast<EventType>(1 + (r % 23));
-    e.subject = "host-" + std::to_string(r % 17);
-    e.detail = (r % 5 == 0) ? "rule-" + std::to_string(r % 7) : std::string();
+    // Text, MAC and SE subjects; text, typed and empty details.
+    if (r % 3 == 0) {
+      e.set_subject(Subject::mac(MacAddress::from_uint64(0x020000000000ull + r % 13)));
+    } else if (r % 7 == 0) {
+      e.set_subject(Subject::se(r % 5));
+    } else {
+      e.set_subject("host-" + std::to_string(r % 17));
+    }
+    if (r % 5 == 0) {
+      e.set_detail("rule-" + std::to_string(r % 7));
+    } else if (r % 13 == 0) {
+      e.set_detail(Detail::flow_counters(r % 1000, r % 100'000));
+    } else if (r % 17 == 0) {
+      e.set_detail(Detail::flow_path(r % 3));
+    }
     e.severity = static_cast<std::uint8_t>(r % 10);
     e.dpid = r % 8;
     e.se_id = r % 4;
@@ -63,20 +75,19 @@ std::vector<NetworkEvent> synthetic_stream(std::size_t n, std::uint64_t seed = 0
   return out;
 }
 
-bool same_event(const NetworkEvent& a, const NetworkEvent& b) {
-  return a.id == b.id && a.time == b.time && a.type == b.type && a.subject == b.subject &&
-         a.detail == b.detail && a.dpid == b.dpid && a.se_id == b.se_id &&
-         a.severity == b.severity && a.flow == b.flow;
-}
+bool same_event(const NetworkEvent& a, const NetworkEvent& b) { return a == b; }
 
 // --- TopK --------------------------------------------------------------------
+
+/// A Top-K key as the rollups build it from a rendered subject.
+SubjectKey key(std::string_view rendered) { return SubjectKey::parse(rendered); }
 
 TEST(TopK, HeavyHitterAlwaysSurvives) {
   // Misra-Gries guarantee: any key with frequency > N / capacity survives.
   TopK sketch(4);
   for (int i = 0; i < 1000; ++i) {
-    sketch.ingest("heavy");
-    sketch.ingest("noise-" + std::to_string(i));  // 1000 distinct light keys
+    sketch.ingest(key("heavy"));
+    sketch.ingest(key("noise-" + std::to_string(i)));  // 1000 distinct light keys
   }
   const auto top = sketch.top(1);
   ASSERT_EQ(top.size(), 1u);
@@ -87,9 +98,9 @@ TEST(TopK, HeavyHitterAlwaysSurvives) {
 
 TEST(TopK, TopOrderIsDeterministic) {
   TopK sketch(8);
-  for (int i = 0; i < 3; ++i) sketch.ingest("bbb");
-  for (int i = 0; i < 3; ++i) sketch.ingest("aaa");
-  for (int i = 0; i < 5; ++i) sketch.ingest("ccc");
+  for (int i = 0; i < 3; ++i) sketch.ingest(key("bbb"));
+  for (int i = 0; i < 3; ++i) sketch.ingest(key("aaa"));
+  for (int i = 0; i < 5; ++i) sketch.ingest(key("ccc"));
   const auto top = sketch.top(3);
   ASSERT_EQ(top.size(), 3u);
   EXPECT_EQ(top[0].first, "ccc");
@@ -97,9 +108,27 @@ TEST(TopK, TopOrderIsDeterministic) {
   EXPECT_EQ(top[2].first, "bbb");
 }
 
+// Typed keys tie-break on their rendering, not their numeric value or kind:
+// se10 < se9 < zed, and a MAC before text.
+TEST(TopK, TypedKeysTieBreakOnRenderedString) {
+  TopK sketch(8);
+  sketch.ingest(SubjectKey{SubjectKind::kSe, 9, {}});
+  sketch.ingest(key("zed"));
+  sketch.ingest(SubjectKey{SubjectKind::kSe, 10, {}});
+  sketch.ingest(SubjectKey{SubjectKind::kMac, 0x0200000000ffull, {}});
+  const auto top = sketch.top(4);
+  ASSERT_EQ(top.size(), 4u);
+  EXPECT_EQ(top[0].first, "02:00:00:00:00:ff");
+  EXPECT_EQ(top[1].first, "se10");
+  EXPECT_EQ(top[2].first, "se9");
+  EXPECT_EQ(top[3].first, "zed");
+}
+
 TEST(TopK, CodecRoundTrips) {
   TopK sketch(16);
-  for (int i = 0; i < 100; ++i) sketch.ingest("k" + std::to_string(i % 7));
+  for (int i = 0; i < 100; ++i) sketch.ingest(key("k" + std::to_string(i % 7)));
+  sketch.ingest(SubjectKey{SubjectKind::kSe, 4, {}});
+  sketch.ingest(SubjectKey{SubjectKind::kMac, 0x020000000001ull, {}});
   pkt::BufferWriter w;
   sketch.encode(w);
   const auto bytes = w.take();
@@ -107,7 +136,7 @@ TEST(TopK, CodecRoundTrips) {
   auto rt = TopK::decode(r);
   ASSERT_TRUE(rt.has_value());
   EXPECT_EQ(rt->ingested(), sketch.ingested());
-  EXPECT_EQ(rt->top(7), sketch.top(7));
+  EXPECT_EQ(rt->top(9), sketch.top(9));
 }
 
 // --- RollupStore -------------------------------------------------------------
@@ -174,7 +203,7 @@ TEST(RollupStore, JsonIsValid) {
   std::uint64_t id = 1;
   for (auto e : synthetic_stream(500)) {
     e.id = id++;
-    e.subject = "we\"ird\\subject";  // escaping must hold in top-K tables too
+    e.set_subject("we\"ird\\subject");  // escaping must hold in top-K tables too
     rollups.ingest(e);
   }
   const std::string json = rollups.to_json(0, 100'000, 5);
@@ -221,16 +250,16 @@ TEST(Segment, DictionarySharesDuplicateStrings) {
     NetworkEvent e = make_event(static_cast<SimTime>(i), EventType::kFlowStart,
                                 i % 2 ? "alice" : "bob");
     e.id = i;
-    e.detail = "same-detail";
+    e.set_detail("same-detail");
     segment.append(e);
   }
   segment.seal();
-  // 1000 rows but only 3 distinct strings: the dictionary keeps memory far
-  // below one-string-per-row.
+  // 1000 text rows but only 2 distinct texts (subject + detail): the
+  // dictionary keeps memory far below one-string-per-row.
   EXPECT_LT(segment.memory_bytes(), 1000 * sizeof(NetworkEvent) / 2);
-  EXPECT_TRUE(segment.contains_subject("alice"));
-  EXPECT_TRUE(segment.contains_subject("bob"));
-  EXPECT_FALSE(segment.contains_subject("mallory"));
+  EXPECT_TRUE(segment.may_contain_subject(SubjectKey::parse("alice")));
+  EXPECT_TRUE(segment.may_contain_subject(SubjectKey::parse("bob")));
+  EXPECT_FALSE(segment.may_contain_subject(SubjectKey::parse("mallory")));
 }
 
 TEST(Segment, ZonePredicatesPrune) {
@@ -325,7 +354,7 @@ TEST(ColumnStore, FindIdAcrossSegments) {
     const NetworkEvent* found = store.find_id(id);
     ASSERT_NE(found, nullptr) << id;
     EXPECT_EQ(found->id, id);
-    EXPECT_EQ(found->subject, "h" + std::to_string(id));
+    EXPECT_EQ(found->subject_string(), "h" + std::to_string(id));
   }
   EXPECT_EQ(store.find_id(0), nullptr);
   EXPECT_EQ(store.find_id(201), nullptr);
@@ -357,11 +386,75 @@ TEST(ColumnStore, TypeScanMatchesRangeScanFilter) {
   EXPECT_EQ(via_type, via_filter);
 }
 
-// --- EventPipeline: query equivalence with the legacy store ------------------
+// --- EventPipeline: query equivalence with a naive row store -----------------
+
+/// The legacy EventStore's semantics as a plain vector: clamp and number on
+/// append, answer every query by filtering all rows, compare subjects as
+/// rendered strings.
+class NaiveStore {
+ public:
+  std::uint64_t append(NetworkEvent e) {
+    if (!rows_.empty() && e.time < rows_.back().time) {
+      e.time = rows_.back().time;
+      ++clamped_;
+    }
+    e.id = rows_.size() + 1;
+    rows_.push_back(std::move(e));
+    return rows_.back().id;
+  }
+  std::size_t size() const { return rows_.size(); }
+  std::uint64_t clamped() const { return clamped_; }
+  std::vector<NetworkEvent> query_range(SimTime from, SimTime to) const {
+    return filter([&](const NetworkEvent& e) { return e.time >= from && e.time < to; });
+  }
+  std::vector<NetworkEvent> query_type(EventType type, SimTime from, SimTime to) const {
+    return filter(
+        [&](const NetworkEvent& e) { return e.type == type && e.time >= from && e.time < to; });
+  }
+  std::vector<NetworkEvent> query_subject(const std::string& subject, std::size_t limit) const {
+    std::vector<NetworkEvent> out;
+    for (auto it = rows_.rbegin(); it != rows_.rend() && out.size() < limit; ++it) {
+      if (it->subject_string() == subject) out.push_back(*it);
+    }
+    return out;
+  }
+  std::vector<std::pair<EventType, std::size_t>> histogram() const {
+    std::vector<std::pair<EventType, std::size_t>> out;
+    for (std::size_t slot = 0; slot < kEventTypeSlots; ++slot) {
+      const auto n = static_cast<std::size_t>(std::count_if(
+          rows_.begin(), rows_.end(),
+          [slot](const NetworkEvent& e) { return static_cast<std::size_t>(e.type) == slot; }));
+      if (n > 0) out.emplace_back(static_cast<EventType>(slot), n);
+    }
+    return out;
+  }
+  std::string to_json(SimTime from, SimTime to) const {
+    std::string out = "[";
+    for (const NetworkEvent& e : query_range(from, to)) {
+      if (out.size() > 1) out += ",";
+      out += e.to_json();
+    }
+    return out + "]";
+  }
+  const NetworkEvent* by_id(std::uint64_t id) const {
+    return (id >= 1 && id <= rows_.size()) ? &rows_[id - 1] : nullptr;
+  }
+
+ private:
+  template <typename Pred>
+  std::vector<NetworkEvent> filter(Pred pred) const {
+    std::vector<NetworkEvent> out;
+    std::copy_if(rows_.begin(), rows_.end(), std::back_inserter(out), pred);
+    return out;
+  }
+
+  std::vector<NetworkEvent> rows_;
+  std::uint64_t clamped_ = 0;
+};
 
 TEST(EventPipeline, MatchesLegacyEventStoreOnSameStream) {
   const auto stream = synthetic_stream(4000);
-  EventStore legacy;
+  NaiveStore legacy;
   EventPipeline::Config config;
   config.segment_rows = 128;  // force many seals
   config.staging_rows = 32;
@@ -394,7 +487,8 @@ TEST(EventPipeline, MatchesLegacyEventStoreOnSameStream) {
     for (std::size_t i = 0; i < lhs.size(); ++i) EXPECT_EQ(lhs[i].id, rhs[i].id);
   }
 
-  for (const char* subject : {"host-0", "host-7", "host-16", "missing"}) {
+  for (const char* subject : {"host-0", "host-7", "host-16", "missing", "02:00:00:00:00:05",
+                              "02:00:00:00:00:0c", "se3", "se0", "se03"}) {
     const auto lhs = pipeline.query_subject(subject, 25);
     const auto rhs = legacy.query_subject(subject, 25);
     ASSERT_EQ(lhs.size(), rhs.size()) << subject;
@@ -406,7 +500,7 @@ TEST(EventPipeline, MatchesLegacyEventStoreOnSameStream) {
   std::vector<std::uint64_t> lhs_ids;
   std::vector<std::uint64_t> rhs_ids;
   pipeline.replay(0, horizon, [&](const NetworkEvent& e) { lhs_ids.push_back(e.id); });
-  legacy.replay(0, horizon, [&](const NetworkEvent& e) { rhs_ids.push_back(e.id); });
+  for (const NetworkEvent& e : legacy.query_range(0, horizon)) rhs_ids.push_back(e.id);
   EXPECT_EQ(lhs_ids, rhs_ids);
 
   for (std::uint64_t id : {1ULL, 100ULL, 3999ULL, 4000ULL, 4001ULL}) {
@@ -426,13 +520,12 @@ TEST(EventPipeline, BatchAndRowIngestProduceIdenticalState) {
   for (const auto& e : stream) row_by_row.append(e);
 
   EventPipeline batched(config);
-  EventBatch batch;
+  std::vector<NetworkEvent> batch;
   std::size_t appended = 0;
   for (std::size_t i = 0; i < stream.size(); ++i) {
-    batch.add(stream[i]);
+    batch.push_back(stream[i]);
     if (batch.size() == 97 || i + 1 == stream.size()) {  // uneven batch cuts
-      appended += batched.append_batch(std::move(batch));
-      batch.clear();
+      appended += batched.append_batch(std::exchange(batch, {}));
     }
   }
   EXPECT_EQ(appended, stream.size());

@@ -5,7 +5,7 @@
 
 #include "controller/dhcp_pool.h"
 #include "controller/policy_parser.h"
-#include "monitor/event_store.h"
+#include "monitor/event_pipeline.h"
 #include "net/network.h"
 #include "net/traffic.h"
 #include "packet/dhcp.h"
@@ -235,56 +235,59 @@ TEST(IdsRuleOptions, OffsetAppliesAcrossPacketsInStream) {
   EXPECT_EQ(engine.inspect(tcp_payload("xxxxNEEDLE", 50001)).size(), 1u);
 }
 
-// --- event store persistence ------------------------------------------------------
+// --- event store persistence (EventPipeline whole-store codec) -----------------------
 
 TEST(EventStorePersistence, SerializeDeserializeRoundTrip) {
-  mon::EventStore store;
+  mon::EventPipeline store;
   for (int i = 0; i < 50; ++i) {
     mon::NetworkEvent e;
     e.time = i * 10;
     e.type = static_cast<mon::EventType>(1 + (i % 12));
-    e.subject = "subject-" + std::to_string(i);
-    e.detail = "detail \"quoted\" #" + std::to_string(i);
+    e.set_subject("subject-" + std::to_string(i));
+    e.set_detail("detail \"quoted\" #" + std::to_string(i));
     e.dpid = static_cast<DatapathId>(i % 5);
     e.severity = static_cast<std::uint8_t>(i % 10);
     store.append(std::move(e));
   }
   const auto blob = store.serialize();
-  const auto restored = mon::EventStore::deserialize(blob);
+  const auto restored = mon::EventPipeline::deserialize(blob);
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), 50u);
+  const auto original = store.query_range(0, 1000);
+  const auto rows = restored->query_range(0, 1000);
+  ASSERT_EQ(rows.size(), 50u);
   for (std::size_t i = 0; i < 50; ++i) {
-    EXPECT_EQ(restored->at(i).id, store.at(i).id);
-    EXPECT_EQ(restored->at(i).time, store.at(i).time);
-    EXPECT_EQ(restored->at(i).type, store.at(i).type);
-    EXPECT_EQ(restored->at(i).subject, store.at(i).subject);
-    EXPECT_EQ(restored->at(i).detail, store.at(i).detail);
+    EXPECT_EQ(rows[i].id, original[i].id);
+    EXPECT_EQ(rows[i].time, original[i].time);
+    EXPECT_EQ(rows[i].type, original[i].type);
+    EXPECT_EQ(rows[i].subject_string(), original[i].subject_string());
+    EXPECT_EQ(rows[i].detail_string(), original[i].detail_string());
   }
   // Appending after restore continues the id sequence.
-  mon::EventStore writable = *restored;
+  mon::EventPipeline writable = *restored;
   mon::NetworkEvent fresh;
   fresh.time = 1000;
-  EXPECT_GT(writable.append(std::move(fresh)), store.at(49).id);
+  EXPECT_GT(writable.append(std::move(fresh)), original.back().id);
 }
 
 TEST(EventStorePersistence, RejectsCorruptBlobs) {
-  mon::EventStore store;
+  mon::EventPipeline store;
   mon::NetworkEvent e;
-  e.subject = "x";
+  e.set_subject("x");
   store.append(std::move(e));
   auto blob = store.serialize();
 
   auto bad_magic = blob;
   bad_magic[0] ^= 0xFF;
-  EXPECT_FALSE(mon::EventStore::deserialize(bad_magic).has_value());
+  EXPECT_FALSE(mon::EventPipeline::deserialize(bad_magic).has_value());
 
   auto truncated = blob;
   truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(mon::EventStore::deserialize(truncated).has_value());
+  EXPECT_FALSE(mon::EventPipeline::deserialize(truncated).has_value());
 
   auto trailing = blob;
   trailing.push_back(0);
-  EXPECT_FALSE(mon::EventStore::deserialize(trailing).has_value());
+  EXPECT_FALSE(mon::EventPipeline::deserialize(trailing).has_value());
 }
 
 // --- statistics polling -------------------------------------------------------------

@@ -564,7 +564,7 @@ class FlowSessionModel {
     action();
     std::multiset<pkt::FlowKey> torn;
     for (const auto& event : net_.controller.events().query_type(mon::EventType::kFlowEnd, from, kForever)) {
-      EXPECT_EQ(event.detail, "torn down");
+      EXPECT_EQ(event.detail_string(), "torn down");
       torn.insert(event.flow);
     }
     EXPECT_EQ(torn, std::multiset<pkt::FlowKey>(expected.begin(), expected.end()));

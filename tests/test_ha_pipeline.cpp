@@ -195,17 +195,17 @@ TEST(ReplicationFrame, VarintRoundTripsAndRejectsOverlong) {
        {0ull, 1ull, 127ull, 128ull, 300ull, 0xFFFFull, 0xFFFFFFFFull,
         0xFFFFFFFFFFFFFFFFull}) {
     pkt::BufferWriter w;
-    ha::write_varint(w, v);
+    w.varint(v);
     const auto bytes = w.take();
     pkt::BufferReader r(bytes);
-    EXPECT_EQ(ha::read_varint(r), v);
+    EXPECT_EQ(r.varint(), v);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.remaining(), 0u);
   }
   // 11 continuation bytes: overlong for any u64 — the reader must poison.
   const std::vector<std::uint8_t> overlong(11, 0x80);
   pkt::BufferReader r(overlong);
-  ha::read_varint(r);
+  r.varint();
   EXPECT_FALSE(r.ok());
 }
 
@@ -444,7 +444,7 @@ TEST(SnapshotStore, SegmentsCompactCoveredEventBatches) {
     mon::NetworkEvent ev;
     ev.time = i * kMillisecond;
     ev.type = mon::EventType::kHostJoin;
-    ev.subject = "host" + std::to_string(i % 4);
+    ev.set_subject("host" + std::to_string(i % 4));
     events.append(std::move(ev));
   }
   const auto rows = events.query_range(0, 100 * kSecond);
@@ -479,7 +479,7 @@ TEST(SnapshotStore, SegmentsCompactCoveredEventBatches) {
   imported.import_snapshot(store.export_records());
   EXPECT_EQ(imported.events().size(), 20u);
   ASSERT_NE(imported.events().by_id(rows[0].id), nullptr);
-  EXPECT_EQ(imported.events().by_id(rows[0].id)->subject, "host0");
+  EXPECT_EQ(imported.events().by_id(rows[0].id)->subject_string(), "host0");
   // Corrupt blobs are counted, never folded.
   store.fold(ha::EventSegmentRecord{{0x00, 0x01, 0x02}});
   EXPECT_EQ(store.stats().fold_failures, 1u);

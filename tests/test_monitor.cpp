@@ -1,5 +1,6 @@
 // Unit tests for the monitoring subsystem: event store queries and replay,
-// service-aware monitoring, aggregate flow control.
+// service-aware monitoring, aggregate flow control. The EventStore suite
+// runs on EventPipeline, the controller's event store.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -7,23 +8,23 @@
 #include <string>
 #include <vector>
 
-#include "monitor/event_store.h"
+#include "monitor/event_pipeline.h"
 #include "tiny_json.h"
 #include "monitor/monitoring.h"
 
 namespace livesec::mon {
 namespace {
 
-NetworkEvent make_event(SimTime t, EventType type, std::string subject = "s") {
+NetworkEvent make_event(SimTime t, EventType type, std::string_view subject = "s") {
   NetworkEvent e;
   e.time = t;
   e.type = type;
-  e.subject = std::move(subject);
+  e.set_subject(subject);
   return e;
 }
 
 TEST(EventStore, AppendAssignsMonotonicIds) {
-  EventStore store;
+  EventPipeline store;
   const auto a = store.append(make_event(1, EventType::kHostJoin));
   const auto b = store.append(make_event(2, EventType::kFlowStart));
   EXPECT_LT(a, b);
@@ -34,7 +35,7 @@ TEST(EventStore, AppendAssignsMonotonicIds) {
 }
 
 TEST(EventStore, RangeQueryIsHalfOpen) {
-  EventStore store;
+  EventPipeline store;
   for (SimTime t = 0; t < 100; t += 10) store.append(make_event(t, EventType::kFlowStart));
   const auto events = store.query_range(20, 50);
   ASSERT_EQ(events.size(), 3u);  // 20, 30, 40
@@ -43,7 +44,7 @@ TEST(EventStore, RangeQueryIsHalfOpen) {
 }
 
 TEST(EventStore, TypeQueryFilters) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(1, EventType::kHostJoin));
   store.append(make_event(2, EventType::kAttackDetected));
   store.append(make_event(3, EventType::kHostJoin));
@@ -53,7 +54,7 @@ TEST(EventStore, TypeQueryFilters) {
 }
 
 TEST(EventStore, SubjectQueryReturnsMostRecentFirst) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(1, EventType::kFlowStart, "alice"));
   store.append(make_event(2, EventType::kFlowStart, "bob"));
   store.append(make_event(3, EventType::kFlowEnd, "alice"));
@@ -65,7 +66,7 @@ TEST(EventStore, SubjectQueryReturnsMostRecentFirst) {
 }
 
 TEST(EventStore, ReplayPreservesOrderAndBounds) {
-  EventStore store;
+  EventPipeline store;
   for (SimTime t = 0; t < 50; t += 5) store.append(make_event(t, EventType::kFlowStart));
   std::vector<SimTime> seen;
   const std::size_t count = store.replay(10, 30, [&](const NetworkEvent& e) {
@@ -77,7 +78,7 @@ TEST(EventStore, ReplayPreservesOrderAndBounds) {
 
 // Property: replay over [0, inf) reproduces exactly the appended sequence.
 TEST(EventStore, FullReplayEqualsOriginalSequence) {
-  EventStore store;
+  EventPipeline store;
   std::vector<std::uint64_t> appended;
   for (int i = 0; i < 200; ++i) {
     appended.push_back(
@@ -88,11 +89,22 @@ TEST(EventStore, FullReplayEqualsOriginalSequence) {
   EXPECT_EQ(replayed, appended);
 }
 
+/// A pipeline that keeps one sealed segment of `segment_rows` full rows
+/// (plus the open segment) and downsamples older ones.
+EventPipeline bounded_store(std::size_t segment_rows) {
+  EventPipeline::Config config;
+  config.segment_rows = segment_rows;
+  config.staging_rows = 1;
+  config.full_segments = 1;
+  return EventPipeline(config);
+}
+
 TEST(EventStore, CapacityEvictsOldest) {
-  EventStore store(5);
+  EventPipeline store = bounded_store(4);
   for (SimTime t = 0; t < 10; ++t) store.append(make_event(t, EventType::kFlowStart));
-  EXPECT_EQ(store.size(), 5u);
-  EXPECT_EQ(store.at(0).time, 5);
+  // Rows 1-4 were sealed and then downsampled; 5-8 are sealed, 9-10 open.
+  EXPECT_EQ(store.size(), 6u);
+  EXPECT_EQ(store.query_range(0, 100).front().time, 4);
   EXPECT_EQ(store.by_id(1), nullptr);   // evicted
   EXPECT_NE(store.by_id(10), nullptr);  // newest survives
 }
@@ -101,7 +113,7 @@ TEST(EventStore, CapacityEvictsOldest) {
 // backwards is clamped to the last accepted time and counted, instead of
 // silently corrupting the binary-searchable time order in release builds.
 TEST(EventStore, BackwardsTimeIsClampedAndCounted) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(100, EventType::kFlowStart));
   const auto late = store.append(make_event(40, EventType::kFlowEnd));
   store.append(make_event(150, EventType::kFlowStart));
@@ -118,23 +130,26 @@ TEST(EventStore, BackwardsTimeIsClampedAndCounted) {
 // (every append evicts) must keep the rolling window exact. With the old
 // vector::erase(begin()) this was quadratic; the deque keeps it O(1).
 TEST(EventStore, CapacityChurnKeepsExactWindow) {
-  constexpr std::size_t kCapacity = 1024;
+  constexpr std::size_t kSegmentRows = 1024;
   constexpr std::size_t kAppends = 100'000;
-  EventStore store(kCapacity);
+  EventPipeline store = bounded_store(kSegmentRows);
   for (std::size_t i = 0; i < kAppends; ++i) {
     store.append(make_event(static_cast<SimTime>(i), EventType::kFlowStart));
   }
-  ASSERT_EQ(store.size(), kCapacity);
-  // Window is exactly the newest kCapacity events, ids and times intact.
-  EXPECT_EQ(store.at(0).time, static_cast<SimTime>(kAppends - kCapacity));
-  EXPECT_EQ(store.at(kCapacity - 1).time, static_cast<SimTime>(kAppends - 1));
-  EXPECT_EQ(store.by_id(kAppends - kCapacity), nullptr);
-  EXPECT_NE(store.by_id(kAppends - kCapacity + 1), nullptr);
-  EXPECT_EQ(store.query_range(0, kAppends).size(), kCapacity);
+  // The window is one sealed segment plus the open tail, exactly the newest
+  // rows, ids and times intact.
+  const std::size_t held = kSegmentRows + kAppends % kSegmentRows;
+  ASSERT_EQ(store.size(), held);
+  const auto window = store.query_range(0, kAppends);
+  ASSERT_EQ(window.size(), held);
+  EXPECT_EQ(window.front().time, static_cast<SimTime>(kAppends - held));
+  EXPECT_EQ(window.back().time, static_cast<SimTime>(kAppends - 1));
+  EXPECT_EQ(store.by_id(kAppends - held), nullptr);
+  EXPECT_NE(store.by_id(kAppends - held + 1), nullptr);
 }
 
 TEST(EventStore, HistogramCountsTypes) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(1, EventType::kHostJoin));
   store.append(make_event(2, EventType::kHostJoin));
   store.append(make_event(3, EventType::kAttackDetected));
@@ -143,7 +158,7 @@ TEST(EventStore, HistogramCountsTypes) {
 }
 
 TEST(EventStore, JsonIsWellFormedArray) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(1, EventType::kAttackDetected, "he said \"hi\""));
   const std::string json = store.to_json(0, 10);
   EXPECT_EQ(json.front(), '[');
@@ -156,7 +171,7 @@ TEST(EventStore, JsonIsWellFormedArray) {
 
 TEST(NetworkEvent, JsonEscapesQuotesBackslashesAndControlChars) {
   NetworkEvent e = make_event(1, EventType::kAttackDetected, "a\"b\\c");
-  e.detail = "line1\nline2\ttab\rret\x01\x1f";
+  e.set_detail("line1\nline2\ttab\rret\x01\x1f");
   const std::string json = e.to_json();
   EXPECT_TRUE(livesec::testing::TinyJsonValidator::valid(json)) << json;
   EXPECT_NE(json.find("a\\\"b\\\\c"), std::string::npos);
@@ -184,15 +199,15 @@ TEST(NetworkEvent, JsonEscapesNonAsciiBytes) {
 TEST(NetworkEvent, JsonValidForEveryByteValue) {
   for (int b = 0; b < 256; ++b) {
     NetworkEvent e = make_event(1, EventType::kFlowStart);
-    e.subject = std::string(1, static_cast<char>(b));
-    e.detail = "x" + std::string(2, static_cast<char>(b)) + "y";
+    e.set_subject(std::string(1, static_cast<char>(b)));
+    e.set_detail("x" + std::string(2, static_cast<char>(b)) + "y");
     const std::string json = e.to_json();
     ASSERT_TRUE(livesec::testing::TinyJsonValidator::valid(json)) << "byte=" << b << " json=" << json;
   }
 }
 
 TEST(EventStore, ToJsonSurvivesHostileSubjects) {
-  EventStore store;
+  EventPipeline store;
   store.append(make_event(1, EventType::kAttackDetected, "\"],[{"));
   store.append(make_event(2, EventType::kVirusFound, std::string("\x00\x7f\x80\xff", 4)));
   const std::string json = store.to_json(0, 10);
@@ -201,12 +216,14 @@ TEST(EventStore, ToJsonSurvivesHostileSubjects) {
 
 // --- serialize / deserialize robustness --------------------------------------
 
-EventStore seeded_store() {
-  EventStore store;
+EventPipeline seeded_store() {
+  EventPipeline::Config config;
+  config.segment_rows = 8;  // sealed segments and an open tail
+  EventPipeline store(config);
   for (int i = 0; i < 32; ++i) {
     NetworkEvent e = make_event(i * 10, static_cast<EventType>(1 + (i % 10)),
                                 i % 3 ? "host-" + std::to_string(i) : "shared");
-    e.detail = "detail-" + std::to_string(i % 5);
+    e.set_detail("detail-" + std::to_string(i % 5));
     e.severity = static_cast<std::uint8_t>(i % 10);
     e.dpid = i;
     store.append(std::move(e));
@@ -215,19 +232,17 @@ EventStore seeded_store() {
 }
 
 TEST(EventStore, SerializeRoundTripsAndResumesIds) {
-  const EventStore store = seeded_store();
+  const EventPipeline store = seeded_store();
   const auto blob = store.serialize();
-  auto restored = EventStore::deserialize(blob);
+  auto restored = EventPipeline::deserialize(blob, store.config());
   ASSERT_TRUE(restored.has_value());
   ASSERT_EQ(restored->size(), store.size());
-  for (std::size_t i = 0; i < store.size(); ++i) {
-    EXPECT_EQ(restored->at(i).id, store.at(i).id);
-    EXPECT_EQ(restored->at(i).time, store.at(i).time);
-    EXPECT_EQ(restored->at(i).subject, store.at(i).subject);
-  }
+  const auto original = store.query_range(0, 1'000'000);
+  const auto rows = restored->query_range(0, 1'000'000);
+  EXPECT_EQ(rows, original);
   // Id allocation resumes past the restored ids.
   const auto next = restored->append(make_event(1000, EventType::kFlowStart));
-  EXPECT_GT(next, store.at(store.size() - 1).id);
+  EXPECT_GT(next, original.back().id);
 }
 
 // Fuzz: every truncation of a valid blob must be rejected cleanly (no crash,
@@ -236,7 +251,7 @@ TEST(EventStore, DeserializeRejectsTruncationAtEveryByte) {
   const auto blob = seeded_store().serialize();
   for (std::size_t len = 0; len < blob.size(); ++len) {
     const auto truncated = std::span<const std::uint8_t>(blob.data(), len);
-    EXPECT_FALSE(EventStore::deserialize(truncated).has_value()) << "len=" << len;
+    EXPECT_FALSE(EventPipeline::deserialize(truncated).has_value()) << "len=" << len;
   }
 }
 
@@ -245,31 +260,81 @@ TEST(EventStore, DeserializeRejectsBadMagicVersionAndOversizedCount) {
   {
     auto bad = blob;
     bad[0] ^= 0xFF;  // magic
-    EXPECT_FALSE(EventStore::deserialize(bad).has_value());
+    EXPECT_FALSE(EventPipeline::deserialize(bad).has_value());
   }
   {
     auto bad = blob;
     bad[4] ^= 0xFF;  // version
-    EXPECT_FALSE(EventStore::deserialize(bad).has_value());
+    EXPECT_FALSE(EventPipeline::deserialize(bad).has_value());
   }
   {
-    // Count field claims ~2^64 events: must be rejected up front, not
-    // looped over (the old decoder iterated the full claimed count).
+    // The summary count claims ~2^32 entries: must be rejected up front,
+    // not looped over. Header: magic(4) version(1) next_id(8) last_time(8)
+    // clamped(8), then the count.
     auto bad = blob;
-    for (std::size_t i = 8; i < 16 && i < bad.size(); ++i) bad[i] = 0xFF;
-    EXPECT_FALSE(EventStore::deserialize(bad).has_value());
+    for (std::size_t i = 29; i < 33; ++i) bad[i] = 0xFF;
+    EXPECT_FALSE(EventPipeline::deserialize(bad).has_value());
   }
-  EXPECT_FALSE(EventStore::deserialize(std::vector<std::uint8_t>{}).has_value());
+  EXPECT_FALSE(EventPipeline::deserialize(std::vector<std::uint8_t>{}).has_value());
 }
 
 TEST(NetworkEvent, ToStringIncludesSeverityAndDetail) {
   NetworkEvent e = make_event(kSecond, EventType::kAttackDetected, "host1");
-  e.detail = "sql-injection";
+  e.set_detail("sql-injection");
   e.severity = 8;
   const std::string s = e.to_string();
   EXPECT_NE(s.find("attack_detected"), std::string::npos);
   EXPECT_NE(s.find("sql-injection"), std::string::npos);
   EXPECT_NE(s.find("sev=8"), std::string::npos);
+}
+
+// Text setters store a canonical MAC or "se<id>" as the typed kind, so a
+// subject's kind never depends on how it was set, and anything else as text.
+TEST(NetworkEvent, SetSubjectParsesOnlyCanonicalForms) {
+  const auto kind_of = [](std::string_view subject) {
+    NetworkEvent e;
+    e.set_subject(subject);
+    EXPECT_EQ(e.subject_string(), subject);
+    EXPECT_TRUE(e.well_formed()) << subject;
+    return e.subject.kind;
+  };
+  EXPECT_EQ(kind_of(""), SubjectKind::kNone);
+  EXPECT_EQ(kind_of("02:00:00:00:00:0b"), SubjectKind::kMac);
+  EXPECT_EQ(kind_of("02:00:00:00:00:0B"), SubjectKind::kText);  // not the rendered case
+  EXPECT_EQ(kind_of("se7"), SubjectKind::kSe);
+  EXPECT_EQ(kind_of("se0"), SubjectKind::kSe);
+  EXPECT_EQ(kind_of("se07"), SubjectKind::kText);
+  EXPECT_EQ(kind_of("se"), SubjectKind::kText);
+  EXPECT_EQ(kind_of("se+7"), SubjectKind::kText);
+  EXPECT_EQ(kind_of("se18446744073709551616"), SubjectKind::kText);  // 2^64
+  EXPECT_EQ(kind_of("controller"), SubjectKind::kText);
+}
+
+// A text subject and a text detail share one string; replacing either keeps
+// the other intact, and typed values take no text at all.
+TEST(NetworkEvent, TextSubjectAndDetailShareOneString) {
+  NetworkEvent e;
+  e.set_detail("promoted to active");
+  e.set_subject("controller");
+  EXPECT_EQ(e.subject_string(), "controller");
+  EXPECT_EQ(e.detail_string(), "promoted to active");
+  e.set_subject("sw-core");
+  EXPECT_EQ(e.detail_string(), "promoted to active");
+  e.set_detail(Detail::flow_counters(3, 180));
+  EXPECT_EQ(e.text, "sw-core");
+  EXPECT_EQ(e.detail_string(), "pkts=3 bytes=180");
+  e.set_subject(Subject::se(4));
+  EXPECT_TRUE(e.text.empty());
+  EXPECT_EQ(e.subject_string(), "se4");
+  EXPECT_TRUE(e.well_formed());
+  // Kinds and text that disagree are what decoders reject.
+  e.text = "stray";
+  EXPECT_FALSE(e.well_formed());
+  e.text.clear();
+  e.subject = Subject{SubjectKind::kText, 3};
+  EXPECT_FALSE(e.well_formed());
+  e.subject = Subject{SubjectKind::kMac, 1ull << 48};
+  EXPECT_FALSE(e.well_formed());
 }
 
 // --- ServiceAwareMonitor -----------------------------------------------------------

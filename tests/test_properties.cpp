@@ -1,7 +1,7 @@
 // Model-based and randomized property tests over core invariants:
 //  - FlowTable behaves like a reference model under random operation mixes
 //  - Match::covers soundness (non-strict delete never misses covered entries)
-//  - EventStore range queries agree with a naive filter
+//  - EventPipeline range queries agree with a naive filter
 //  - LoadBalancer keeps every SE utilized under skewed user populations
 //  - DaemonMessage/Trace codecs survive random payload fuzz without crashing
 #include <gtest/gtest.h>
@@ -11,7 +11,7 @@
 
 #include "common/random.h"
 #include "controller/load_balancer.h"
-#include "monitor/event_store.h"
+#include "monitor/event_pipeline.h"
 #include "monitor/trace.h"
 #include "openflow/flow_table.h"
 #include "services/message.h"
@@ -318,7 +318,10 @@ TEST(MatchCovers, NonStrictDeleteRemovesExactlyCoveredEntries) {
 
 TEST(EventStoreModel, RangeQueriesAgreeWithNaiveFilter) {
   Rng rng(3);
-  mon::EventStore store;
+  mon::EventPipeline::Config config;
+  config.segment_rows = 64;  // sealed segments, an open one and staging
+  config.staging_rows = 16;
+  mon::EventPipeline store(config);
   std::vector<mon::NetworkEvent> naive;
   SimTime t = 0;
   for (int i = 0; i < 500; ++i) {
@@ -326,9 +329,8 @@ TEST(EventStoreModel, RangeQueriesAgreeWithNaiveFilter) {
     mon::NetworkEvent e;
     e.time = t;
     e.type = static_cast<mon::EventType>(1 + rng.uniform(0, 11));
-    e.subject = "s" + std::to_string(rng.uniform(0, 5));
-    store.append(e);
-    e.id = store.at(store.size() - 1).id;
+    e.set_subject("s" + std::to_string(rng.uniform(0, 5)));
+    e.id = store.append(e);
     naive.push_back(e);
   }
   for (int q = 0; q < 100; ++q) {

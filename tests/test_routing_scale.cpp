@@ -13,7 +13,6 @@
 
 #include "controller/controller.h"
 #include "controller/routing_table.h"
-#include "monitor/event_store.h"
 #include "openflow/channel.h"
 #include "packet/packet.h"
 #include "scenario/campus.h"
@@ -252,7 +251,7 @@ TEST(RoutingScaleChurn, BatchedExpirySweepsTenThousandIdleHosts) {
       controller.events().query_type(mon::EventType::kHostLeave, 0, 1'000 * kSecond);
   EXPECT_EQ(leaves.size(), campus_config.hosts);
   std::set<std::string> subjects;
-  for (const auto& event : leaves) subjects.insert(event.subject);
+  for (const auto& event : leaves) subjects.insert(event.subject_string());
   EXPECT_EQ(subjects.size(), campus_config.hosts);
 }
 

@@ -95,7 +95,7 @@ TEST(WebUi, JsonEscapesHostileSubjects) {
   mon::NetworkEvent e;
   e.time = net.network.sim().now();
   e.type = mon::EventType::kAttackDetected;
-  e.subject = "quote\" brace} back\\slash";
+  e.set_subject("quote\" brace} back\\slash");
   net.network.controller().events().append(std::move(e));
 
   mon::WebUi ui(net.network.controller());
@@ -166,14 +166,14 @@ TEST(WebUi, ReplayWindowsArePrecise) {
   mon::NetworkEvent early;
   early.time = t0;
   early.type = mon::EventType::kFlowStart;
-  early.subject = "EARLY-MARKER";
+  early.set_subject("EARLY-MARKER");
   events.append(early);
 
   net.network.run_for(1 * kSecond);
   mon::NetworkEvent late;
   late.time = net.network.sim().now();
   late.type = mon::EventType::kFlowEnd;
-  late.subject = "LATE-MARKER";
+  late.set_subject("LATE-MARKER");
   events.append(late);
 
   mon::WebUi ui(net.network.controller());
@@ -199,8 +199,8 @@ TEST(WebUi, MonitorBlockSurfacesPipelineCounters) {
     mon::NetworkEvent e;
     e.time = net.network.sim().now();
     e.type = t % 3 ? mon::EventType::kFlowStart : mon::EventType::kProtocolIdentified;
-    e.subject = "host-" + std::to_string(t % 5);
-    e.detail = t % 3 ? "" : "HTTP";
+    e.set_subject("host-" + std::to_string(t % 5));
+    e.set_detail(t % 3 ? "" : "HTTP");
     events.append(std::move(e));
   }
 
@@ -235,7 +235,7 @@ TEST(WebUi, SnapshotEscapesHighBytesInSubjects) {
   mon::NetworkEvent e;
   e.time = net.network.sim().now();
   e.type = mon::EventType::kAttackDetected;
-  e.subject = "caf\xc3\xa9\x01";
+  e.set_subject("caf\xc3\xa9\x01");
   net.network.controller().events().append(std::move(e));
 
   mon::WebUi ui(net.network.controller());
