@@ -35,6 +35,10 @@ SetupResult run_channel_latency(SimTime /*channel latency modeled via config*/ l
   sw::EthernetSwitch backbone(sim, "backbone");
   sw::OpenFlowSwitch ovs1(sim, "ovs1", 1);
   sw::OpenFlowSwitch ovs2(sim, "ovs2", 2);
+  net::Host alice(sim, "alice", MacAddress::from_uint64(0xA), Ipv4Address(10, 4, 0, 1));
+  net::Host bob(sim, "bob", MacAddress::from_uint64(0xB), Ipv4Address(10, 4, 0, 2));
+  // Declared after every node it wires: a Link detaches its ports when it
+  // is destroyed, so it must go before them.
   std::vector<std::unique_ptr<sim::Link>> links;
 
   auto wire_as = [&](sw::OpenFlowSwitch& sw) {
@@ -52,8 +56,6 @@ SetupResult run_channel_latency(SimTime /*channel latency modeled via config*/ l
   ovs1.connect_controller(ch1);
   ovs2.connect_controller(ch2);
 
-  net::Host alice(sim, "alice", MacAddress::from_uint64(0xA), Ipv4Address(10, 4, 0, 1));
-  net::Host bob(sim, "bob", MacAddress::from_uint64(0xB), Ipv4Address(10, 4, 0, 2));
   links.push_back(sim::connect(sim, alice.port(0),
                                ovs1.add_port(sw::PortRole::kNetworkPeriphery),
                                {.bandwidth_bps = 100e6}));

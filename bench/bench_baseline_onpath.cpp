@@ -31,14 +31,16 @@ double run_traditional(int client_pairs, double offered_per_client_bps) {
   sw::EthernetSwitch inside(sim, "inside");
   sw::EthernetSwitch outside(sim, "outside");
   net::InlineMiddlebox middlebox(sim, "fw");
+  std::vector<std::unique_ptr<net::Host>> clients;
+  std::vector<std::unique_ptr<net::Host>> sinks;
+  // Declared after every node it wires: a Link detaches its ports when it
+  // is destroyed, so it must go before them.
   std::vector<std::unique_ptr<sim::Link>> links;
   links.push_back(sim::connect(sim, middlebox.inside(), inside.add_port(),
                                {.bandwidth_bps = 10e9}));
   links.push_back(sim::connect(sim, middlebox.outside(), outside.add_port(),
                                {.bandwidth_bps = 10e9}));
 
-  std::vector<std::unique_ptr<net::Host>> clients;
-  std::vector<std::unique_ptr<net::Host>> sinks;
   for (int i = 0; i < client_pairs; ++i) {
     clients.push_back(std::make_unique<net::Host>(
         sim, "c" + std::to_string(i), MacAddress::from_uint64(0x100 + static_cast<unsigned>(i)),

@@ -5,18 +5,20 @@
 // Four measurements:
 //
 //   delivery collapse — a campus arrival/churn wave of host-learn records is
-//       published through a two-node cluster in legacy (per-record) and
-//       pipeline (framed) mode; reported per tier (10k / 100k / 1M records)
-//       as the ratio of scheduled delivery events. Acceptance: >= 10x.
+//       published through a two-node cluster; reported per tier (10k / 100k /
+//       1M records) as the ratio of per-record deliveries (records x
+//       standbys: one delivery event per record per standby, what shipping
+//       each record on its own costs) to the frames' scheduled delivery
+//       events. Acceptance: >= 10x.
 //
 //   warm overhead — flow setups per wall second on the bench_failover warm
 //       harness, standalone versus through the pipeline-mode cluster (the
 //       standby applies every frame in the same process). Acceptance: warm
 //       overhead <= 3.9%.
 //
-//   snapshot cost — what one legacy snapshot tick paid (a full export_state
-//       walk at N hosts) versus the pipeline's per-record fold, plus the
-//       on-demand folded export only a real bootstrap pays.
+//   snapshot cost — what a full-export snapshot tick would pay (an
+//       export_state walk at N hosts) versus the pipeline's per-record fold,
+//       plus the on-demand folded export only a real bootstrap pays.
 //
 //   bootstrap chunking — importing a 1M-host folded snapshot into a fresh
 //       controller in default-sized slices: total time, slice count, and the
@@ -24,16 +26,6 @@
 //
 // `--json` emits the machine-readable form recorded in BENCH_controller.json;
 // `--max-hosts N` caps the tier sizes (CI smoke runs with 10000).
-//
-// Diagnostic env toggles for decomposing the warm overhead (bench-only, all
-// default off):
-//   BENCH_REPL_LEGACY       per-record replication instead of the pipeline
-//   BENCH_REPL_EVENT_BATCH  override Controller event_replication_batch
-//                           (0 disables event replication entirely — the
-//                           floor with only host/flow/decision records)
-//   BENCH_REPL_DROP         drop every delivery via FaultPlan (isolates the
-//                           active-side cost from standby frame apply)
-//   BENCH_REPL_DEBUG        dump cluster status_json after each warm run
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -95,13 +87,11 @@ struct ChurnResult {
 
 /// Publishes a campus arrival wave (every 8th host re-announces, so the
 /// window has same-key refreshes to coalesce) through a two-node cluster.
-ChurnResult run_churn(std::uint32_t records, bool pipeline) {
+ChurnResult run_churn(std::uint32_t records) {
   sim::Simulator sim;
   ctrl::Controller active(sim);
   ctrl::Controller standby(sim);
-  ha::HaCluster::Config config;
-  config.pipeline = pipeline;
-  ha::HaCluster cluster(sim, config);
+  ha::HaCluster cluster(sim, ha::HaCluster::Config{});
   cluster.add_node(active);
   cluster.add_node(standby);
 
@@ -123,8 +113,7 @@ ChurnResult run_churn(std::uint32_t records, bool pipeline) {
   out.coalesced = static_cast<double>(cluster.stats().records_coalesced);
   out.bytes = static_cast<double>(cluster.stats().bytes_published);
   if (cluster.applied_seq(1) != cluster.log().head_seq()) {
-    std::fprintf(stderr, "WARNING: standby behind after churn (pipeline=%d)\n",
-                 pipeline ? 1 : 0);
+    std::fprintf(stderr, "WARNING: standby behind after churn\n");
   }
   return out;
 }
@@ -166,20 +155,13 @@ struct Harness {
   static ctrl::Controller::Config active_config(std::size_t event_batch) {
     ctrl::Controller::Config config;
     if (event_batch != kDefaultEventBatch) config.event_replication_batch = event_batch;
-    if (const char* batch = std::getenv("BENCH_REPL_EVENT_BATCH")) {
-      config.event_replication_batch = static_cast<std::size_t>(std::strtoul(batch, nullptr, 10));
-    }
     return config;
   }
 
   explicit Harness(bool replicated, std::size_t event_batch = kDefaultEventBatch)
       : controller(sim, active_config(event_batch)), standby(sim) {
     if (replicated) {
-      ha::HaCluster::Config hc;
-      if (std::getenv("BENCH_REPL_LEGACY")) hc.pipeline = false;
-      ha::FaultPlan plan;
-      if (std::getenv("BENCH_REPL_DROP")) plan.replication_drop_probability = 1.0;
-      cluster = std::make_unique<ha::HaCluster>(sim, hc, plan);
+      cluster = std::make_unique<ha::HaCluster>(sim, ha::HaCluster::Config{});
       cluster->add_node(controller);
       cluster->add_node(standby);
     }
@@ -240,9 +222,6 @@ double run_warm_setups(bool replicated, int count,
   if (h.cluster) h.cluster->flush_replication();
   h.sim.run();
   const double elapsed = cpu_ms_now() - start;
-  if (h.cluster && std::getenv("BENCH_REPL_DEBUG")) {
-    std::fprintf(stderr, "DEBUG %s\n", h.cluster->status_json().c_str());
-  }
   return static_cast<double>(count) / (elapsed / 1e3);
 }
 
@@ -273,10 +252,13 @@ int main(int argc, char** argv) {
       {"10k", 10'000}, {"100k", 100'000}, {"1m", 1'000'000}};
   for (const auto& tier : tiers) {
     if (tier.records > cap) continue;
-    const ChurnResult legacy = run_churn(tier.records, false);
-    const ChurnResult framed = run_churn(tier.records, true);
-    const double collapse = framed.deliveries > 0 ? legacy.deliveries / framed.deliveries : 0;
-    out.metric(std::string("churn_deliveries_legacy_") + tier.tag, legacy.deliveries, "events");
+    // Shipping each record on its own schedules one delivery per record per
+    // standby (this cluster has one standby and no faults).
+    constexpr double kStandbys = 1;
+    const double per_record = tier.records * kStandbys;
+    const ChurnResult framed = run_churn(tier.records);
+    const double collapse = framed.deliveries > 0 ? per_record / framed.deliveries : 0;
+    out.metric(std::string("churn_deliveries_legacy_") + tier.tag, per_record, "events");
     out.metric(std::string("churn_deliveries_pipeline_") + tier.tag, framed.deliveries, "events");
     out.metric(std::string("delivery_collapse_") + tier.tag, collapse, "x");
     out.metric(std::string("churn_frames_") + tier.tag, framed.frames, "frames");
@@ -285,7 +267,7 @@ int main(int argc, char** argv) {
     out.metric(std::string("churn_wall_pipeline_") + tier.tag, framed.wall_ms, "ms");
     if (!json) {
       std::printf("churn %-4s deliveries %9.0f -> %7.0f (%.0fx), %0.f frames, %0.f coalesced, %.1f ms\n",
-                  tier.tag, legacy.deliveries, framed.deliveries, collapse, framed.frames,
+                  tier.tag, per_record, framed.deliveries, collapse, framed.frames,
                   framed.coalesced, framed.wall_ms);
     }
   }
@@ -371,7 +353,7 @@ int main(int argc, char** argv) {
     out.metric("snapshot_demand_export_ms", demand_ms, "ms");
     if (!json) {
       std::printf(
-          "snapshot @%u hosts: full export %.2f ms/tick (legacy) vs fold %.0f ns/record"
+          "snapshot @%u hosts: full export %.2f ms/tick vs fold %.0f ns/record"
           " + %.2f ms on-demand export (%zu/%zu records)\n",
           hosts, full_ms, fold_ms * 1e6 / hosts, demand_ms, exported.size(), on_demand.size());
     }

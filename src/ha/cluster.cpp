@@ -25,8 +25,7 @@ HaCluster::HaCluster(sim::Simulator& sim, Config config, FaultPlan plan)
       plan_(plan),
       rng_(plan.seed),
       pipeline_(ReplicationPipeline::Config{config.replication_flush_records,
-                                            config.replication_flush_bytes,
-                                            config.replication_coalescing}) {}
+                                            config.replication_flush_bytes}) {}
 
 void HaCluster::add_node(ctrl::Controller& controller) {
   assert(switches_.empty() && "add every node before managing switches");
@@ -88,60 +87,10 @@ void HaCluster::enable_wire_encoding() {
 
 void HaCluster::replicate(RecordBody body) {
   ++stats_.records_published;
-  if (config_.pipeline) {
-    if (pipeline_.add(std::move(body))) {
-      flush_pipeline();  // byte/count threshold reached
-    } else {
-      arm_flush_timer();
-    }
-    return;
-  }
-
-  // Legacy per-record fan-out: one encode, one sim event per standby.
-  ReplicationRecord record;
-  record.body = std::move(body);
-  record.seq = log_.append(record.body);
-  if (nodes_.size() <= 1) return;
-
-  auto bytes = std::make_shared<const std::vector<std::uint8_t>>(encode_record(record));
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    if (i == active_ || nodes_[i].role != Role::kStandby) continue;
-    if (plan_.replication_drop_probability > 0 &&
-        rng_.chance(plan_.replication_drop_probability)) {
-      ++stats_.records_dropped;  // the resync tick will repair the gap
-      continue;
-    }
-    SimTime delay = config_.replication_latency;
-    if (plan_.replication_delay_probability > 0 &&
-        rng_.chance(plan_.replication_delay_probability)) {
-      delay += plan_.replication_extra_delay;
-      ++stats_.records_delayed;
-    } else if (plan_.replication_reorder_probability > 0 &&
-               rng_.chance(plan_.replication_reorder_probability)) {
-      // Held just long enough for records published after it to overtake.
-      delay += 3 * config_.replication_latency;
-      ++stats_.records_delayed;
-    }
-    const bool corrupt = plan_.replication_corrupt_probability > 0 &&
-                         rng_.chance(plan_.replication_corrupt_probability);
-    ++stats_.deliveries_scheduled;
-    sim_->schedule(delay, [this, i, bytes, corrupt] {
-      if (!corrupt) {
-        if (auto decoded = decode_record(*bytes)) {
-          deliver(i, *decoded);
-        } else {
-          ++stats_.decode_failures;  // resync repairs the hole
-        }
-        return;
-      }
-      std::vector<std::uint8_t> mutated = *bytes;
-      if (!mutated.empty()) mutated[0] ^= 0xFF;  // version byte: must reject
-      if (auto decoded = decode_record(mutated)) {
-        deliver(i, *decoded);
-      } else {
-        ++stats_.decode_failures;
-      }
-    });
+  if (pipeline_.add(std::move(body))) {
+    flush_replication();  // byte/count threshold reached
+  } else {
+    arm_flush_timer();
   }
 }
 
@@ -150,10 +99,10 @@ void HaCluster::arm_flush_timer() {
   // no recurring event alive (and a bare sim.run() still terminates).
   if (flush_armed_ || pipeline_.empty()) return;
   flush_armed_ = true;
-  sim_->schedule(config_.replication_flush_interval, [this] { flush_pipeline(); });
+  sim_->schedule(config_.replication_flush_interval, [this] { flush_replication(); });
 }
 
-void HaCluster::flush_pipeline() {
+void HaCluster::flush_replication() {
   flush_armed_ = false;
   if (pipeline_.empty()) return;
 
@@ -212,10 +161,6 @@ void HaCluster::flush_pipeline() {
   }
 }
 
-void HaCluster::flush_replication() {
-  if (config_.pipeline) flush_pipeline();
-}
-
 void HaCluster::deliver_frame(std::size_t node_index, const std::vector<std::uint8_t>& bytes) {
   auto frame = decode_frame(bytes);
   if (!frame) {
@@ -262,15 +207,10 @@ void HaCluster::deliver(std::size_t node_index, const ReplicationRecord& record)
 void HaCluster::catch_up(Node& node, bool count_retransmits) {
   if (!log_.reaches(node.applied_seq)) {
     // The log was truncated past this node's position: bootstrap from the
-    // snapshot, then take the remaining tail from the log.
-    if (config_.pipeline) {
-      // The folded store covers every flushed record, i.e. the log head.
-      node.controller->import_snapshot(store_.export_records());
-      node.applied_seq = log_.head_seq();
-    } else {
-      node.controller->import_snapshot(snapshot_records_);
-      node.applied_seq = snapshot_through_;
-    }
+    // snapshot, then take the remaining tail from the log. The folded store
+    // covers every flushed record, i.e. the log head.
+    node.controller->import_snapshot(store_.export_records());
+    node.applied_seq = log_.head_seq();
     node.held.clear();
     ++stats_.snapshots_imported;
   }
@@ -346,7 +286,7 @@ void HaCluster::resync_tick() {
     Node& node = nodes_[i];
     if (node.role != Role::kStandby || node.importing) continue;
     if (node.applied_seq >= log_.head_seq()) continue;
-    if (config_.pipeline && !log_.reaches(node.applied_seq)) {
+    if (!log_.reaches(node.applied_seq)) {
       begin_import(i);  // bounded chunks, not one synchronous full import
       continue;
     }
@@ -366,16 +306,10 @@ void HaCluster::resync_tick() {
 
 void HaCluster::snapshot_tick() {
   if (nodes_[active_].role == Role::kActive) {
-    if (config_.pipeline) {
-      // The folded store IS the snapshot; the tick only applies the lag cap
-      // (truncate to the head), never a full-state export.
-      snapshot_through_ = log_.head_seq();
-      log_.truncate(snapshot_through_);
-    } else {
-      snapshot_records_ = nodes_[active_].controller->export_state();
-      snapshot_through_ = log_.head_seq();
-      log_.truncate(snapshot_through_);
-    }
+    // The folded store IS the snapshot; the tick only applies the lag cap
+    // (truncate to the head), never a full-state export.
+    snapshot_through_ = log_.head_seq();
+    log_.truncate(snapshot_through_);
     ++stats_.snapshots_taken;
   }
   if (started_) sim_->schedule(config_.snapshot_interval, [this] { snapshot_tick(); });
@@ -388,8 +322,8 @@ void HaCluster::crash_active() {
   if (node.role != Role::kActive) return;
   // Ship the pending window with normal fan-out before the process "dies":
   // everything the active committed before the crash instant reaches the
-  // log, so promotion sees the same history the legacy path guaranteed.
-  if (config_.pipeline) flush_pipeline();
+  // log, so promotion sees every record published before the crash.
+  flush_replication();
   node.role = Role::kCrashed;
   node.controller->set_replication_sink(nullptr);
   // Process death closes its control connections; switches experience a

@@ -19,9 +19,7 @@
 // sim event per standby instead of one per record. Snapshots are incremental:
 // every flushed record also folds into a SnapshotStore, so the snapshot tick
 // is O(new records) and a lagging standby bootstraps from the folded state in
-// bounded chunks instead of one synchronous full-state import. The legacy
-// per-record fan-out survives behind `Config::pipeline = false` as the
-// replication bench's baseline arm.
+// bounded chunks instead of one synchronous full-state import.
 //
 // The replication channel is deliberately imperfect: a FaultPlan can drop,
 // delay, reorder or corrupt deliveries (seeded, reproducible; one draw now
@@ -69,9 +67,6 @@ class HaCluster : public ReplicationSink {
     /// enough for every reconnect's FeaturesReply to land.
     SimTime reconcile_delay = 2 * kMillisecond;
 
-    /// Group-commit pipeline. false = legacy per-record fan-out (one sim
-    /// event per record per standby), kept as the bench baseline.
-    bool pipeline = true;
     /// Flush the pending window at this many live records…
     std::size_t replication_flush_records = 128;
     /// …or at this estimated wire size…
@@ -79,8 +74,6 @@ class HaCluster : public ReplicationSink {
     /// …or this long after the first record entered an empty window (a
     /// one-shot timer, so an idle cluster schedules nothing).
     SimTime replication_flush_interval = kMillisecond;
-    /// Last-writer-wins coalescing of same-key refreshes inside a window.
-    bool replication_coalescing = true;
     /// Records applied per sim event while a standby imports a snapshot
     /// (bounds the work one event does at million-host state sizes).
     std::size_t snapshot_import_chunk = 4096;
@@ -139,8 +132,10 @@ class HaCluster : public ReplicationSink {
   /// Routes every cluster-owned channel through the wire codec.
   void enable_wire_encoding();
 
-  /// Ships the pending flush window now (no-op when empty). Tests and the
-  /// bench use this to quiesce the pipeline deterministically.
+  /// Ships the pending flush window now (no-op when empty): assigns seqs,
+  /// folds the window into the snapshot store and fans the encoded frame out
+  /// to standbys. Tests and the bench use this to quiesce the pipeline
+  /// deterministically.
   void flush_replication();
 
   // --- ReplicationSink --------------------------------------------------------
@@ -192,9 +187,6 @@ class HaCluster : public ReplicationSink {
 
   void deliver(std::size_t node_index, const ReplicationRecord& record);
   void deliver_frame(std::size_t node_index, const std::vector<std::uint8_t>& bytes);
-  /// Assigns seqs to the pending window, folds it into the snapshot store
-  /// and fans the encoded frame out to standbys.
-  void flush_pipeline();
   /// Arms the one-shot flush timer when the window just went non-empty.
   void arm_flush_timer();
   /// Starts a chunked snapshot import for a standby that lags past the
@@ -225,11 +217,10 @@ class HaCluster : public ReplicationSink {
   ReplicationLog log_;
   ReplicationPipeline pipeline_;
   bool flush_armed_ = false;
-  /// Folded incremental snapshot (pipeline mode): covers every flushed
-  /// record, so bootstrap never walks the active's full state.
+  /// Folded incremental snapshot: covers every flushed record, so bootstrap
+  /// never walks the active's full state.
   SnapshotStore store_;
-  /// Latest full-export snapshot (legacy mode only).
-  std::vector<RecordBody> snapshot_records_;
+  /// Log head at the last lag-cap tick (reported in the status panels).
   std::uint64_t snapshot_through_ = 0;
 
   std::size_t active_ = 0;

@@ -43,7 +43,7 @@ bool ReplicationPipeline::add(RecordBody body) {
   ++stats_.records_buffered;
   bytes_ += approx_record_bytes(body);
 
-  if (config_.coalescing) index_record(body, pending_.size());
+  index_record(body, pending_.size());
   pending_.push_back(Pending{std::move(body), true});
   ++live_;
 

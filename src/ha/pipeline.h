@@ -36,8 +36,6 @@ class ReplicationPipeline {
     std::size_t flush_records = 128;
     /// Flush when the pending window's estimated wire size reaches this.
     std::size_t flush_bytes = 16 * 1024;
-    /// Last-writer-wins coalescing of same-key refreshes inside a window.
-    bool coalescing = true;
   };
 
   struct Stats {

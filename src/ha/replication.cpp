@@ -50,8 +50,8 @@ struct FrameDictDecoder {
   }
 };
 
-// Field helpers: fixed-width big-endian in single-record mode (dict ==
-// nullptr, the v1-compatible shape), varint/dictionary-packed inside frames.
+// Field helpers: fixed-width big-endian in snapshot blobs (dict == nullptr),
+// varint/dictionary-packed inside frames.
 void put_u64(pkt::BufferWriter& w, std::uint64_t v, FrameDictEncoder* dict) {
   if (dict) {
     w.varint(v);
@@ -421,25 +421,6 @@ const char* record_name(const RecordBody& body) {
     const char* operator()(const EventSegmentRecord&) { return "event_segment"; }
   };
   return std::visit(Namer{}, body);
-}
-
-std::vector<std::uint8_t> encode_record(const ReplicationRecord& record) {
-  pkt::BufferWriter w;
-  w.u16(kReplicationFormatVersion);
-  w.u64(record.seq);
-  encode_body(w, record.body, nullptr);
-  return w.take();
-}
-
-std::optional<ReplicationRecord> decode_record(std::span<const std::uint8_t> bytes) {
-  pkt::BufferReader r(bytes);
-  if (r.u16() != kReplicationFormatVersion) return std::nullopt;
-  ReplicationRecord record;
-  record.seq = r.u64();
-  auto body = decode_body(r, nullptr);
-  if (!body || !r.ok() || r.remaining() != 0) return std::nullopt;
-  record.body = std::move(*body);
-  return record;
 }
 
 std::vector<std::uint8_t> encode_frame(const ReplicationFrame& frame) {

@@ -8,8 +8,9 @@
 // bootstrap and catch up after loss.
 //
 // Design:
-//  - Every state mutation on the active is one `RecordBody`, serialized with
-//    a format version + monotonically increasing sequence number.
+//  - Every state mutation on the active is one `RecordBody`. Records ship in
+//    group-commit frames (a format version, a base sequence number and the
+//    bodies; record `i` of a frame carries seq `base_seq + i`).
 //  - `ReplicationLog` retains decoded `RecordBody`s for retransmission, only
 //    back to the slowest standby's applied position; a snapshot (the full
 //    state re-expressed *as records*) bootstraps a standby that fell behind
@@ -38,14 +39,13 @@
 
 namespace livesec::ha {
 
-/// Bumped when the record wire format changes; a standby refuses records
+/// Bumped when the record wire format changes; a standby refuses frames
 /// carrying a different version (mixed-version clusters resync via snapshot).
-/// v2 added group-commit frames (varint-packed, per-frame MAC/dpid
-/// dictionaries) next to the v1-shaped single-record encoding.
+/// v2 introduced group-commit frames (varint-packed, per-frame MAC/dpid
+/// dictionaries).
 inline constexpr std::uint16_t kReplicationFormatVersion = 2;
 
-/// Marker byte after the format version distinguishing a multi-record frame
-/// from a single-record encoding (whose next bytes are a big-endian seq).
+/// Marker byte after the format version that opens every frame.
 inline constexpr std::uint8_t kFrameMagic = 0xF7;
 
 // --- record bodies -----------------------------------------------------------
@@ -205,17 +205,11 @@ using RecordBody =
 
 const char* record_name(const RecordBody& body);
 
-/// One replicated record as it travels the replication channel.
+/// One replicated record with its sequence number (log entry, delivery).
 struct ReplicationRecord {
   std::uint64_t seq = 0;
   RecordBody body;
 };
-
-/// Serializes {format version, seq, type, payload} in network byte order.
-std::vector<std::uint8_t> encode_record(const ReplicationRecord& record);
-
-/// Returns nullopt on a format-version mismatch or malformed payload.
-std::optional<ReplicationRecord> decode_record(std::span<const std::uint8_t> bytes);
 
 // --- group-commit frames -----------------------------------------------------
 
@@ -250,15 +244,9 @@ class ReplicationSink {
 
 // --- log + snapshot ----------------------------------------------------------
 
-/// A full-state snapshot: the active's state re-expressed as records.
-/// Importing = applying each record in order onto a reset controller.
-struct Snapshot {
-  /// Every record with seq <= through_seq is reflected in the snapshot.
-  std::uint64_t through_seq = 0;
-  /// Count-prefixed concatenation of encoded records.
-  std::vector<std::uint8_t> bytes;
-};
-
+/// A full-state snapshot is the active's state re-expressed as records;
+/// importing = applying each record in order onto a reset controller. Wire
+/// form: {u16 version, u32 count, fixed-width bodies}.
 std::vector<std::uint8_t> encode_snapshot_records(const std::vector<RecordBody>& records);
 std::optional<std::vector<RecordBody>> decode_snapshot_records(
     std::span<const std::uint8_t> bytes);

@@ -135,7 +135,13 @@ EventPipeline::EventPipeline(Config config)
       rollups_(config.rollup_bucket, config.topk_capacity) {
   config_.segment_rows = std::max<std::size_t>(config_.segment_rows, 1);
   config_.staging_rows = std::max<std::size_t>(config_.staging_rows, 1);
-  staging_.reserve(config_.staging_rows);
+}
+
+void EventPipeline::stage(NetworkEvent&& event) {
+  // Reserved on the first row, not at construction: a pipeline that never
+  // sees an event holds no staging buffer.
+  if (staging_.capacity() == 0) staging_.reserve(config_.staging_rows);
+  staging_.push_back(std::move(event));
 }
 
 std::uint64_t EventPipeline::ingest(NetworkEvent&& event) {
@@ -148,7 +154,7 @@ std::uint64_t EventPipeline::ingest(NetworkEvent&& event) {
   ++counters_.appended;
   rollups_.ingest(event);
   if (observer_) observer_(event);
-  staging_.push_back(std::move(event));
+  stage(std::move(event));
   return staging_.back().id;
 }
 
@@ -407,7 +413,7 @@ void EventPipeline::ingest_restored(NetworkEvent&& event) {
   ++counters_.appended;
   ++counters_.restored_rows;
   rollups_.ingest(event);
-  staging_.push_back(std::move(event));
+  stage(std::move(event));
   if (staging_.size() >= config_.staging_rows) drain_staging();
 }
 

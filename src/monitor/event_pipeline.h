@@ -229,6 +229,8 @@ class EventPipeline {
   std::uint64_t ingest(NetworkEvent&& event);
   /// Same, for a restored row that keeps its id.
   void ingest_restored(NetworkEvent&& event);
+  /// Pushes one row into staging_, reserving staging_rows on first use.
+  void stage(NetworkEvent&& event);
   void drain_staging();
   void enforce_retention();
   SegmentSummary summarize(const Segment& segment) const;

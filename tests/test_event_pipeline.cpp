@@ -545,6 +545,26 @@ TEST(EventPipeline, ClampsBackwardsTimeAndCounts) {
   EXPECT_EQ(row->time, 100);
 }
 
+// Every controller owns a pipeline, most of which see few events: the staging
+// buffer is reserved on the first row, not at construction.
+TEST(EventPipeline, StagingReservedOnFirstRowAndDrainsAtStagingRows) {
+  const EventPipeline idle;
+  const std::size_t staging_bytes = idle.config().staging_rows * sizeof(NetworkEvent);
+  EXPECT_LT(idle.memory_bytes(), staging_bytes);
+
+  EventPipeline::Config config;
+  config.segment_rows = 16;
+  config.staging_rows = 16;
+  EventPipeline pipeline(config);
+  pipeline.append(make_event(1, EventType::kFlowStart));
+  EXPECT_GE(pipeline.memory_bytes(), config.staging_rows * sizeof(NetworkEvent));
+  for (SimTime t = 2; t < 16; ++t) pipeline.append(make_event(t, EventType::kFlowStart));
+  EXPECT_EQ(pipeline.counters().segments_sealed, 0u) << "15 rows must still be staged";
+  pipeline.append(make_event(16, EventType::kFlowEnd));
+  EXPECT_EQ(pipeline.counters().segments_sealed, 1u) << "the 16th row drains staging";
+  EXPECT_EQ(pipeline.size(), 16u);
+}
+
 TEST(EventPipeline, ConfigForCapacityMapsRowBound) {
   const auto unbounded = EventPipeline::config_for_capacity(0);
   EXPECT_EQ(unbounded.full_segments, 0u);

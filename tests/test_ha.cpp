@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -79,21 +80,24 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
   };
   ASSERT_EQ(bodies.size(), std::variant_size_v<ha::RecordBody>);
 
+  // Each record alone in a frame: the frame's base seq is the record's seq.
+  const auto round_trip = [](std::uint64_t seq,
+                              const ha::RecordBody& body) -> std::optional<ha::RecordBody> {
+    auto decoded = ha::decode_frame(ha::encode_frame({seq, {body}}));
+    if (!decoded || decoded->records.size() != 1) return std::nullopt;
+    EXPECT_EQ(decoded->base_seq, seq);
+    EXPECT_EQ(decoded->records[0].index(), body.index()) << ha::record_name(body);
+    return std::move(decoded->records[0]);
+  };
   std::uint64_t seq = 0;
   for (const auto& body : bodies) {
-    const ha::ReplicationRecord record{++seq, body};
-    const auto bytes = ha::encode_record(record);
-    const auto decoded = ha::decode_record(bytes);
-    ASSERT_TRUE(decoded.has_value()) << ha::record_name(body);
-    EXPECT_EQ(decoded->seq, record.seq);
-    EXPECT_EQ(decoded->body.index(), body.index()) << ha::record_name(body);
+    EXPECT_TRUE(round_trip(++seq, body).has_value()) << ha::record_name(body);
   }
 
   // Spot-check deep fields survive the trip.
-  const auto policy_bytes = ha::encode_record({1, ha::PolicyAddedRecord{policy}});
-  const auto policy_rt = ha::decode_record(policy_bytes);
+  const auto policy_rt = round_trip(1, ha::PolicyAddedRecord{policy});
   ASSERT_TRUE(policy_rt.has_value());
-  const auto& p = std::get<ha::PolicyAddedRecord>(policy_rt->body).policy;
+  const auto& p = std::get<ha::PolicyAddedRecord>(*policy_rt).policy;
   EXPECT_EQ(p.id, 7u);
   EXPECT_EQ(p.name, "web-via-ids");
   ASSERT_TRUE(p.tp_dst.has_value());
@@ -104,25 +108,20 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
   EXPECT_EQ(p.service_chain[0], svc::ServiceType::kIntrusionDetection);
 
   const std::vector<std::uint8_t> blob = {0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x7F};
-  const auto batch_bytes = ha::encode_record({9, ha::EventBatchRecord{blob}});
-  const auto batch_rt = ha::decode_record(batch_bytes);
+  const auto batch_rt = round_trip(9, ha::EventBatchRecord{blob});
   ASSERT_TRUE(batch_rt.has_value());
-  EXPECT_EQ(std::get<ha::EventBatchRecord>(batch_rt->body).blob, blob);
-  const auto seg_bytes = ha::encode_record({10, ha::EventSegmentRecord{blob}});
-  const auto seg_rt = ha::decode_record(seg_bytes);
+  EXPECT_EQ(std::get<ha::EventBatchRecord>(*batch_rt).blob, blob);
+  const auto seg_rt = round_trip(10, ha::EventSegmentRecord{blob});
   ASSERT_TRUE(seg_rt.has_value());
-  EXPECT_EQ(std::get<ha::EventSegmentRecord>(seg_rt->body).blob, blob);
+  EXPECT_EQ(std::get<ha::EventSegmentRecord>(*seg_rt).blob, blob);
 
-  const auto sw_bytes = ha::encode_record({2, ha::SwitchUpRecord{6, 12, "ovs-floor-3"}});
-  const auto sw_rt = ha::decode_record(sw_bytes);
+  const auto sw_rt = round_trip(2, ha::SwitchUpRecord{6, 12, "ovs-floor-3"});
   ASSERT_TRUE(sw_rt.has_value());
-  EXPECT_EQ(std::get<ha::SwitchUpRecord>(sw_rt->body).name, "ovs-floor-3");
+  EXPECT_EQ(std::get<ha::SwitchUpRecord>(*sw_rt).name, "ovs-floor-3");
 
-  const auto learn_bytes =
-      ha::encode_record({3, ha::VerdictLearnedRecord{digest, 2, 101, 9, 262144}});
-  const auto learn_rt = ha::decode_record(learn_bytes);
+  const auto learn_rt = round_trip(3, ha::VerdictLearnedRecord{digest, 2, 101, 9, 262144});
   ASSERT_TRUE(learn_rt.has_value());
-  const auto& learned = std::get<ha::VerdictLearnedRecord>(learn_rt->body);
+  const auto& learned = std::get<ha::VerdictLearnedRecord>(*learn_rt);
   EXPECT_EQ(learned.digest.exact, digest.exact);
   EXPECT_EQ(learned.digest.bytes, digest.bytes);
   EXPECT_EQ(learned.digest.sketch, digest.sketch);
@@ -131,25 +130,25 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
   EXPECT_EQ(learned.severity, 9);
   EXPECT_EQ(learned.inspected_bytes, 262144u);
 
-  const auto epoch_bytes = ha::encode_record({4, ha::VerdictCacheEpochRecord{12}});
-  const auto epoch_rt = ha::decode_record(epoch_bytes);
+  const auto epoch_rt = round_trip(4, ha::VerdictCacheEpochRecord{12});
   ASSERT_TRUE(epoch_rt.has_value());
-  EXPECT_EQ(std::get<ha::VerdictCacheEpochRecord>(epoch_rt->body).epoch, 12u);
+  EXPECT_EQ(std::get<ha::VerdictCacheEpochRecord>(*epoch_rt).epoch, 12u);
 }
 
 TEST(Replication, CodecRejectsVersionMismatchAndTruncation) {
-  auto bytes = ha::encode_record({9, ha::HostRemovedRecord{MacAddress::from_uint64(1)}});
+  auto bytes = ha::encode_frame({9, {ha::HostRemovedRecord{MacAddress::from_uint64(1)}}});
   ASSERT_FALSE(bytes.empty());
+  ASSERT_TRUE(ha::decode_frame(bytes).has_value());
 
   auto wrong_version = bytes;
   wrong_version[0] ^= 0xFF;  // format version lives up front
-  EXPECT_FALSE(ha::decode_record(wrong_version).has_value());
+  EXPECT_FALSE(ha::decode_frame(wrong_version).has_value());
 
   auto truncated = bytes;
   truncated.resize(truncated.size() / 2);
-  EXPECT_FALSE(ha::decode_record(truncated).has_value());
+  EXPECT_FALSE(ha::decode_frame(truncated).has_value());
 
-  EXPECT_FALSE(ha::decode_record(std::vector<std::uint8_t>{}).has_value());
+  EXPECT_FALSE(ha::decode_frame(std::vector<std::uint8_t>{}).has_value());
 }
 
 TEST(Replication, LogAssignsSequencesServesTailAndTruncates) {

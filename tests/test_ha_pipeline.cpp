@@ -129,10 +129,11 @@ TEST(ReplicationFrame, DictionaryBeatsPerRecordEncodingOnRepetition) {
     frame.records.push_back(ha::HostLearnedRecord{h.mac, h.ip, h.dpid, h.port, kSecond * i});
   }
 
+  // Baseline: the same records shipped one per frame, so no MAC or dpid is
+  // ever shared across records.
   std::size_t per_record = 0;
-  std::uint64_t seq = 0;
-  for (const auto& body : frame.records) {
-    per_record += ha::encode_record({++seq, body}).size();
+  for (std::size_t i = 0; i < frame.records.size(); ++i) {
+    per_record += ha::encode_frame({frame.base_seq + i, {frame.records[i]}}).size();
   }
   const auto frame_bytes = ha::encode_frame(frame);
   EXPECT_LT(frame_bytes.size() * 2, per_record)
@@ -250,7 +251,7 @@ TEST(ReplicationLog, VisitSinceMatchesSinceWithoutCopying) {
 // --- window coalescing -------------------------------------------------------------
 
 TEST(ReplicationPipeline, CoalescesPureRefreshesOnly) {
-  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{1000, 1 << 20, true});
+  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{1000, 1 << 20});
   const MacAddress mac_a = MacAddress::from_uint64(0xA);
   const MacAddress mac_b = MacAddress::from_uint64(0xB);
   const Ipv4Address ip_x(10, 0, 0, 1);
@@ -286,7 +287,7 @@ TEST(ReplicationPipeline, CoalescesPureRefreshesOnly) {
 }
 
 TEST(ReplicationPipeline, DhcpAndSeGuardrails) {
-  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{1000, 1 << 20, true});
+  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{1000, 1 << 20});
   const MacAddress mac = MacAddress::from_uint64(0xC);
   const Ipv4Address ip(10, 2, 0, 5);
 
@@ -305,17 +306,10 @@ TEST(ReplicationPipeline, DhcpAndSeGuardrails) {
   pipeline.add(ha::SeUpsertRecord{9, MacAddress::from_uint64(0xD), ip,
                                   svc::ServiceType::kIntrusionDetection, 2, 4, 30});
   EXPECT_EQ(pipeline.pending_records(), 5u);
-
-  // Coalescing off: nothing ever merges.
-  ha::ReplicationPipeline plain(ha::ReplicationPipeline::Config{1000, 1 << 20, false});
-  plain.add(ha::DhcpLeaseRecord{mac, ip, 100});
-  plain.add(ha::DhcpLeaseRecord{mac, ip, 200});
-  EXPECT_EQ(plain.pending_records(), 2u);
-  EXPECT_EQ(plain.stats().records_coalesced, 0u);
 }
 
 TEST(ReplicationPipeline, ThresholdSignalsFlush) {
-  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{4, 1 << 20, true});
+  ha::ReplicationPipeline pipeline(ha::ReplicationPipeline::Config{4, 1 << 20});
   for (int i = 0; i < 3; ++i) {
     EXPECT_FALSE(pipeline.add(ha::HostRemovedRecord{MacAddress::from_uint64(i)}));
   }
@@ -487,61 +481,43 @@ TEST(SnapshotStore, SegmentsCompactCoveredEventBatches) {
 
 // --- cluster integration -----------------------------------------------------------
 
-// Regression for the silently-dropped corrupt delivery: the legacy receiver
-// decoded a record and, on failure, dropped it without a trace. Every
-// corrupt delivery must land in stats().decode_failures (both paths) and the
-// resync machinery must still converge the standby.
+// Regression for the silently-dropped corrupt delivery: a receiver that
+// failed to decode dropped the delivery without a trace. Every corrupt
+// delivery must land in stats().decode_failures, and the resync machinery
+// must still converge the standby — when every frame is corrupt (all records
+// arrive via resync) and when only some are.
 TEST(HaCluster, CorruptDeliveriesCountedAndRepairedPipeline) {
-  ha::FaultPlan plan;
-  plan.replication_corrupt_probability = 1.0;
+  struct Case {
+    double probability;
+    std::uint64_t seed;
+  };
+  for (const Case c : {Case{1.0, ha::FaultPlan{}.seed}, Case{0.5, 11}}) {
+    SCOPED_TRACE(testing::Message() << "corrupt p=" << c.probability << " seed=" << c.seed);
+    ha::FaultPlan plan;
+    plan.replication_corrupt_probability = c.probability;
+    plan.seed = c.seed;
 
-  Network network;
-  network.enable_ha(1, {}, plan);
-  auto& backbone = network.add_legacy_switch("backbone");
-  auto& ovs1 = network.add_as_switch("ovs1", backbone);
-  auto& ovs2 = network.add_as_switch("ovs2", backbone);
-  auto& alice = network.add_host("alice", ovs1);
-  auto& bob = network.add_host("bob", ovs2);
-  network.start();
+    Network network;
+    network.enable_ha(1, {}, plan);
+    auto& backbone = network.add_legacy_switch("backbone");
+    auto& ovs1 = network.add_as_switch("ovs1", backbone);
+    auto& ovs2 = network.add_as_switch("ovs2", backbone);
+    auto& alice = network.add_host("alice", ovs1);
+    auto& bob = network.add_host("bob", ovs2);
+    network.start();
 
-  net::UdpCbrApp stream(alice, {.dst = bob.ip(), .rate_bps = 1e6, .duration = 1 * kSecond});
-  stream.start();
-  network.run_for(2 * kSecond);
+    net::UdpCbrApp stream(alice, {.dst = bob.ip(), .rate_bps = 1e6, .duration = 1 * kSecond});
+    stream.start();
+    network.run_for(2 * kSecond);
 
-  ha::HaCluster* cluster = network.ha_cluster();
-  const auto& stats = cluster->stats();
-  EXPECT_GT(stats.decode_failures, 0u);
-  EXPECT_GT(stats.retransmits, 0u);  // every record arrived via resync instead
-  EXPECT_EQ(cluster->applied_seq(1), cluster->log().head_seq());
-  EXPECT_NE(cluster->node_controller(1).routing().find(alice.mac()), nullptr);
-  EXPECT_NE(network.ha_cluster()->status_json().find("\"decode_failures\":"),
-            std::string::npos);
-}
-
-TEST(HaCluster, CorruptDeliveriesCountedAndRepairedLegacy) {
-  ha::FaultPlan plan;
-  plan.replication_corrupt_probability = 0.5;
-  plan.seed = 11;
-  ha::HaCluster::Config config;
-  config.pipeline = false;
-
-  Network network;
-  network.enable_ha(1, config, plan);
-  auto& backbone = network.add_legacy_switch("backbone");
-  auto& ovs1 = network.add_as_switch("ovs1", backbone);
-  auto& ovs2 = network.add_as_switch("ovs2", backbone);
-  auto& alice = network.add_host("alice", ovs1);
-  auto& bob = network.add_host("bob", ovs2);
-  network.start();
-
-  net::UdpCbrApp stream(alice, {.dst = bob.ip(), .rate_bps = 1e6, .duration = 1 * kSecond});
-  stream.start();
-  network.run_for(2 * kSecond);
-
-  ha::HaCluster* cluster = network.ha_cluster();
-  EXPECT_GT(cluster->stats().decode_failures, 0u);
-  EXPECT_EQ(cluster->applied_seq(1), cluster->log().head_seq());
-  EXPECT_NE(cluster->node_controller(1).routing().find(alice.mac()), nullptr);
+    ha::HaCluster* cluster = network.ha_cluster();
+    const auto& stats = cluster->stats();
+    EXPECT_GT(stats.decode_failures, 0u);
+    EXPECT_GT(stats.retransmits, 0u);
+    EXPECT_EQ(cluster->applied_seq(1), cluster->log().head_seq());
+    EXPECT_NE(cluster->node_controller(1).routing().find(alice.mac()), nullptr);
+    EXPECT_NE(cluster->status_json().find("\"decode_failures\":"), std::string::npos);
+  }
 }
 
 // Frames cost one delivery event per standby per flush window, not one per
@@ -697,15 +673,14 @@ TEST(HaCluster, LogTruncatesAtAppliedHorizon) {
 // Truncation under a lossy, delayed and reordering channel with two standbys
 // never passes the slowest standby: every gap is still repaired from the log
 // (retransmits, no snapshot import), and both standbys end byte-identical to
-// the active. Pinned for the pipelined and the legacy per-record arm.
-void expect_truncation_never_strands(bool pipeline) {
+// the active.
+TEST(HaCluster, TruncationNeverStrandsLossyStandbysPipeline) {
   ha::FaultPlan plan;
   plan.seed = 23;
   plan.replication_drop_probability = 0.3;
   plan.replication_delay_probability = 0.2;
   plan.replication_reorder_probability = 0.2;
-  ha::HaCluster::Config config;
-  config.pipeline = pipeline;
+  const ha::HaCluster::Config config;
 
   Network network;
   network.enable_ha(2, config, plan);
@@ -756,14 +731,6 @@ void expect_truncation_never_strands(bool pipeline) {
               ha::encode_snapshot_records(cluster->node_controller(node).export_state()))
         << "node " << node;
   }
-}
-
-TEST(HaCluster, TruncationNeverStrandsLossyStandbysPipeline) {
-  expect_truncation_never_strands(true);
-}
-
-TEST(HaCluster, TruncationNeverStrandsLossyStandbysLegacy) {
-  expect_truncation_never_strands(false);
 }
 
 // A chunked import that spans resync ticks keeps the log from its
