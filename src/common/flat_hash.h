@@ -1,6 +1,6 @@
 // Open-addressing hash map for trivially small key/value pairs.
 //
-// The controller's host-scale tables (routing shards, IP index, per-dpid
+// The controller's host-scale tables (routing MAC index, IP index, per-dpid
 // chain heads) are hot at campus scale: a million hosts means a million
 // entries probed on every packet-in. std::unordered_map pays one heap node
 // plus pointer chase per entry; this map stores entries inline in one flat

@@ -102,7 +102,7 @@ class SmallVector {
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (size_ == capacity_) grow(capacity_ * 2);
+    if (size_ == capacity_) grow(size_ + 1);
     T* slot = ::new (static_cast<void*>(data_ + size_)) T(std::forward<Args>(args)...);
     ++size_;
     return *slot;

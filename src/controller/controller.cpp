@@ -35,13 +35,12 @@ Controller::Controller(sim::Simulator& sim) : Controller(sim, Config{}) {}
 Controller::Controller(sim::Simulator& sim, Config config)
     : sim_(&sim),
       config_(config),
-      routing_(config.host_timeout, config.routing_shards),
+      routing_(config.host_timeout),
       registry_(config.se_liveness_timeout),
       policies_(config.default_action),
       ca_(config.cert_secret),
       lb_(config.lb_strategy),
-      events_(event_pipeline_config(config)),
-      flows_by_host_(config.routing_shards) {
+      events_(event_pipeline_config(config)) {
   // The session tables are not pre-sized: they grow with the live flows
   // (DESIGN.md §9), so a controller that sets up a few flows stays small.
   decision_cache_.reserve(std::min<std::size_t>(config_.decision_cache_capacity, 1 << 12));
@@ -1821,7 +1820,7 @@ std::vector<ha::RecordBody> Controller::export_state() const {
 }
 
 void Controller::reset_for_import() {
-  routing_ = RoutingTable(config_.host_timeout, config_.routing_shards);
+  routing_ = RoutingTable(config_.host_timeout);
   registry_ = ServiceRegistry(config_.se_liveness_timeout);
   policies_ = PolicyTable(config_.default_action);
   install_policy_observer();

@@ -89,9 +89,6 @@ class Controller : public of::ControllerEndpoint {
     /// setups of the same flow). Full flush at capacity, like the decision
     /// cache. 0 disables the memo (offload still rewrites live flows).
     std::size_t offload_table_capacity = 8192;
-    /// Partition count for the host-scale state (routing table shards, IP
-    /// index, per-host flow index). Rounded up to a power of two.
-    std::size_t routing_shards = RoutingTable::kDefaultShards;
     /// Event-database full-fidelity row bound (0 = unbounded). Campus-scale
     /// runs bound it so churn events cannot grow controller memory without
     /// limit; the monitoring pipeline maps it onto its retention tiers
@@ -716,8 +713,7 @@ class Controller : public of::ControllerEndpoint {
   std::map<pkt::FlowKey, OffloadEntry> offloaded_flows_;
   /// In-flight flow setups, keyed by the concrete forward 9-tuple.
   std::unordered_map<pkt::FlowKey, PendingSetup> pending_setups_;
-  /// Endpoint MAC -> session slots of active flows touching it, MAC-sharded
-  /// like the routing table.
+  /// Endpoint MAC -> session slots of active flows touching it.
   HostFlowIndex flows_by_host_;
 };
 

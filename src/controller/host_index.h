@@ -1,23 +1,18 @@
-// Per-host active-flow index, partitioned the same way as the routing
-// table's host records (DESIGN.md §9): flows_by_host_ is the second
+// Per-host active-flow index (DESIGN.md §9): flows_by_host_ is the second
 // O(hosts) structure on the controller. It maps each endpoint MAC to the
 // session-slab slots of the flows touching it, so teardown by host goes
-// straight to the sessions. Each MAC-hash shard is one flat-hash table whose
-// values are hybrid slot sets: the common case (a host with a few active
-// flows) stays inline in the table slot with no per-flow node, while a hot
-// host (a server terminating thousands of flows) spills into an
-// open-addressing set so add/remove stay O(1) instead of degrading to a
-// linear scan per flow.
+// straight to the sessions. It is one flat-hash table whose values are
+// hybrid slot sets: the common case (a host with a few active flows) stays
+// inline in the table slot with no per-flow node, while a hot host (a
+// server terminating thousands of flows) spills into an open-addressing set
+// so add/remove stay O(1) instead of degrading to a linear scan per flow.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "common/flat_hash.h"
-#include "common/hash.h"
 #include "common/mac_address.h"
 #include "common/small_vector.h"
 
@@ -93,57 +88,31 @@ class SlotSet {
   std::unique_ptr<LargeSet> large_;
 };
 
-/// Endpoint MAC -> session slots of active flows touching it, MAC-sharded.
+/// Endpoint MAC -> session slots of active flows touching it.
 class HostFlowIndex {
  public:
-  explicit HostFlowIndex(std::size_t shards = 16) {
-    std::size_t count = 1;
-    while (count < shards) count *= 2;
-    mask_ = count - 1;
-    shards_.resize(count);
-  }
-
   /// Registers `slot` under `host`; duplicate registrations are idempotent.
-  void add(const MacAddress& host, std::uint32_t slot) {
-    shard_of(host)[host.to_uint64()].insert(slot);
-  }
+  void add(const MacAddress& host, std::uint32_t slot) { by_host_[host.to_uint64()].insert(slot); }
 
   /// Unregisters `slot` from `host`; the host's entry disappears with its
   /// last flow. Returns true when the pair was present.
   bool remove(const MacAddress& host, std::uint32_t slot) {
-    auto& shard = shard_of(host);
-    SlotSet* set = shard.find(host.to_uint64());
+    SlotSet* set = by_host_.find(host.to_uint64());
     if (set == nullptr) return false;
     if (!set->erase(slot)) return false;
-    if (set->empty()) shard.erase(host.to_uint64());
+    if (set->empty()) by_host_.erase(host.to_uint64());
     return true;
   }
 
   /// Flows of `host`, or nullptr. The pointer is invalidated by any
   /// mutation of the index (callers copy before tearing down).
-  const SlotSet* find(const MacAddress& host) const {
-    return shard_of(host).find(host.to_uint64());
-  }
+  const SlotSet* find(const MacAddress& host) const { return by_host_.find(host.to_uint64()); }
 
   /// Hosts with at least one indexed flow.
-  std::size_t host_count() const {
-    std::size_t count = 0;
-    for (const auto& shard : shards_) count += shard.size();
-    return count;
-  }
+  std::size_t host_count() const { return by_host_.size(); }
 
  private:
-  using Shard = FlatHashMap<std::uint64_t, SlotSet>;
-
-  Shard& shard_of(const MacAddress& host) {
-    return shards_[static_cast<std::size_t>(splitmix64(host.to_uint64())) & mask_];
-  }
-  const Shard& shard_of(const MacAddress& host) const {
-    return shards_[static_cast<std::size_t>(splitmix64(host.to_uint64())) & mask_];
-  }
-
-  std::size_t mask_ = 0;
-  std::vector<Shard> shards_;
+  FlatHashMap<std::uint64_t, SlotSet> by_host_;
 };
 
 }  // namespace livesec::ctrl

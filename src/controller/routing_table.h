@@ -5,24 +5,20 @@
 //
 // Campus-at-scale layout (DESIGN.md §9): the table is the controller's
 // biggest state component — O(hosts) records for up to millions of hosts —
-// and the bottleneck of every packet-in, so it is built as
+// and the bottleneck of every packet-in, so it is built as one partition:
 //
-//  - sharded partitions: records live in `shards` independent partitions
-//    keyed by MAC hash (the IP secondary index is partitioned the same way
-//    by IP hash), so each partition's tables stay small and a future
-//    parallel control plane can lock/own partitions independently;
-//  - arena-backed interned records: each shard stores records in fixed-size
-//    chunks addressed by a 32-bit slot handle. Chunks never move, so
-//    find() pointers stay valid until the record itself is removed; freed
-//    slots are recycled through an intrusive free list;
+//  - arena-backed interned records: records live in fixed-size chunks
+//    addressed by a 32-bit slot handle. Chunks never move, so find()
+//    pointers stay valid until the record itself is removed; freed slots
+//    are recycled through an intrusive free list;
 //  - flat-hash indexes: MAC -> slot, IP -> MAC and dpid -> chain head are
 //    open-addressing FlatHashMaps (no per-entry heap nodes);
-//  - a per-dpid intrusive chain through the records of each shard, making
+//  - a per-dpid intrusive chain through the records, making
 //    remove_switch() and size_on_switch() O(hosts-on-that-switch);
-//  - an amortized timeout wheel per shard (same technique as
-//    of::FlowTable): expire() visits only due deadline buckets instead of
-//    scanning every host, and touch()/learn() refresh lazily — a stale
-//    wheel record re-files itself when its bucket fires.
+//  - an amortized timeout wheel (same technique as of::FlowTable):
+//    expire() visits only due deadline buckets instead of scanning every
+//    host, and touch()/learn() refresh lazily — a stale wheel record
+//    re-files itself when its bucket fires.
 #pragma once
 
 #include <cstdint>
@@ -50,12 +46,9 @@ struct HostLocation {
 /// MAC-keyed host location map with IP secondary index and idle expiry.
 class RoutingTable {
  public:
-  static constexpr std::size_t kDefaultShards = 16;
-
   /// Hosts idle longer than this are expired by expire(); mirrors the ARP
-  /// cache timeout of the paper. `shards` is rounded up to a power of two.
-  explicit RoutingTable(SimTime host_timeout = 120 * kSecond,
-                        std::size_t shards = kDefaultShards);
+  /// cache timeout of the paper.
+  explicit RoutingTable(SimTime host_timeout = 120 * kSecond);
 
   RoutingTable(RoutingTable&&) = default;
   RoutingTable& operator=(RoutingTable&&) = default;
@@ -79,8 +72,9 @@ class RoutingTable {
   /// Removes a specific host (e.g. explicit leave). Returns true if present.
   bool remove(const MacAddress& mac);
 
-  /// Removes all hosts idle past the timeout; returns the removed records.
-  /// Cost is proportional to due wheel buckets, not to table size.
+  /// Removes all hosts idle past the timeout; returns the removed records
+  /// in deadline-bucket order. Cost is proportional to due wheel buckets,
+  /// not to table size.
   std::vector<HostLocation> expire(SimTime now);
 
   /// Removes all hosts attached to a dead switch; returns removed records.
@@ -93,11 +87,9 @@ class RoutingTable {
   /// Visits every record (unordered) without materializing a snapshot.
   template <typename F>
   void for_each(F&& fn) const {
-    for (const Shard& shard : shards_) {
-      for (std::uint32_t slot = 0; slot < shard.arena_size; ++slot) {
-        const Record& rec = record_at(shard, slot);
-        if (rec.live) fn(rec.loc);
-      }
+    for (std::uint32_t slot = 0; slot < arena_size_; ++slot) {
+      const Record& rec = record_at(slot);
+      if (rec.live) fn(rec.loc);
     }
   }
 
@@ -108,21 +100,11 @@ class RoutingTable {
   std::uint64_t version() const { return version_; }
 
   // --- scale observability (WebUI, bench_scale, tests) -----------------------
-  std::size_t shard_count() const { return shards_.size(); }
-
-  struct ShardStats {
-    std::size_t hosts = 0;         // live records in the shard
-    std::size_t arena_slots = 0;   // slots ever allocated (live + free)
-    std::size_t index_capacity = 0;  // MAC flat-hash slot-array length
-    std::size_t wheel_buckets = 0;
-    std::size_t bytes = 0;         // arena + index footprint of this shard
-  };
-  ShardStats shard_stats(std::size_t shard) const;
 
   /// Hosts currently attached to `dpid` (chain walk, O(result)).
   std::size_t size_on_switch(DatapathId dpid) const;
 
-  /// Total footprint: arenas, MAC/dpid/IP indexes and wheel records.
+  /// Total footprint: arena, MAC/dpid/IP indexes and wheel records.
   std::size_t memory_bytes() const;
 
  private:
@@ -139,49 +121,21 @@ class RoutingTable {
     bool live = false;
   };
 
-  struct Shard {
-    FlatHashMap<std::uint64_t, std::uint32_t> by_mac;    // mac48 -> slot
-    FlatHashMap<std::uint64_t, std::uint32_t> dpid_head; // dpid -> chain head
-    std::vector<std::unique_ptr<Record[]>> chunks;
-    std::uint32_t arena_size = 0;  // slots ever allocated
-    std::uint32_t free_head = kNil;
-    std::size_t live_count = 0;
-    /// Timer wheel: quantized deadline -> (slot, epoch) records filed there.
-    std::map<SimTime, std::vector<std::pair<std::uint32_t, std::uint32_t>>> wheel;
-  };
-
-  Shard& shard_of_mac(std::uint64_t mac48) {
-    return shards_[static_cast<std::size_t>(splitmix64(mac48)) & shard_mask_];
-  }
-  const Shard& shard_of_mac(std::uint64_t mac48) const {
-    return shards_[static_cast<std::size_t>(splitmix64(mac48)) & shard_mask_];
-  }
-  FlatHashMap<std::uint32_t, std::uint64_t>& ip_shard(Ipv4Address ip) {
-    return ip_shards_[static_cast<std::size_t>(splitmix64(ip.value())) & shard_mask_];
-  }
-  const FlatHashMap<std::uint32_t, std::uint64_t>& ip_shard(Ipv4Address ip) const {
-    return ip_shards_[static_cast<std::size_t>(splitmix64(ip.value())) & shard_mask_];
+  Record& record_at(std::uint32_t slot) { return chunks_[slot / kChunkSlots][slot % kChunkSlots]; }
+  const Record& record_at(std::uint32_t slot) const {
+    return chunks_[slot / kChunkSlots][slot % kChunkSlots];
   }
 
-  static Record& record_at(Shard& shard, std::uint32_t slot) {
-    return shard.chunks[slot / kChunkSlots][slot % kChunkSlots];
-  }
-  static const Record& record_at(const Shard& shard, std::uint32_t slot) {
-    return shard.chunks[slot / kChunkSlots][slot % kChunkSlots];
-  }
+  std::uint32_t allocate_slot();
+  void free_slot(std::uint32_t slot);
 
-  std::uint32_t allocate_slot(Shard& shard);
-  void free_slot(Shard& shard, std::uint32_t slot);
-
-  void link_dpid(Shard& shard, std::uint32_t slot);
-  void unlink_dpid(Shard& shard, std::uint32_t slot);
+  void link_dpid(std::uint32_t slot);
+  void unlink_dpid(std::uint32_t slot);
 
   /// Quantizes a deadline up to the wheel granularity.
   SimTime wheel_bucket(SimTime deadline) const;
   /// Files (or re-files) the record's wheel entry at its current deadline.
-  void file_in_wheel(Shard& shard, std::uint32_t slot);
-  /// Fires every due bucket of one shard, collecting expired records.
-  void advance_wheel(Shard& shard, SimTime now, std::vector<HostLocation>& removed);
+  void file_in_wheel(std::uint32_t slot);
 
   /// Points the IP index at `mac48`, clearing the address from the previous
   /// holder's record (DHCP re-lease: the index must always name the latest
@@ -193,16 +147,21 @@ class RoutingTable {
   /// Shared removal path: unindexes, unlinks and frees one record.
   /// `from_chain_walk` skips the dpid unlink (remove_switch drains chains
   /// wholesale). Does NOT bump version_ — callers batch that.
-  HostLocation remove_slot(Shard& shard, std::uint32_t slot, bool from_chain_walk);
+  HostLocation remove_slot(std::uint32_t slot, bool from_chain_walk);
 
   SimTime timeout_;
   SimTime wheel_granularity_;
   std::uint64_t version_ = 0;
-  std::size_t total_ = 0;
-  std::size_t shard_mask_ = 0;
-  std::vector<Shard> shards_;
-  /// IP secondary index, partitioned by IP hash: ip -> mac48 of the owner.
-  std::vector<FlatHashMap<std::uint32_t, std::uint64_t>> ip_shards_;
+  std::vector<std::unique_ptr<Record[]>> chunks_;
+  std::uint32_t arena_size_ = 0;  // slots ever allocated
+  std::uint32_t free_head_ = kNil;
+  std::size_t total_ = 0;         // live records
+  FlatHashMap<std::uint64_t, std::uint32_t> by_mac_;     // mac48 -> slot
+  FlatHashMap<std::uint64_t, std::uint32_t> dpid_head_;  // dpid -> chain head
+  /// IP secondary index: ip -> mac48 of the owner.
+  FlatHashMap<std::uint32_t, std::uint64_t> by_ip_;
+  /// Timer wheel: quantized deadline -> (slot, epoch) records filed there.
+  std::map<SimTime, std::vector<std::pair<std::uint32_t, std::uint32_t>>> wheel_;
 };
 
 }  // namespace livesec::ctrl

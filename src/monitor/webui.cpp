@@ -123,20 +123,13 @@ std::string WebUi::snapshot_json(SimTime events_from, SimTime events_to) const {
         << ",\"learned\":" << stats.verdict_cache_inserts << "},";
   }
 
-  // Host-table footprint: per-shard occupancy of the sharded routing state.
+  // Host-table footprint of the routing state.
   const auto& routing = controller_->routing();
   out << "\"routing\":{"
       << "\"hosts\":" << routing.size()
       << ",\"version\":" << routing.version()
-      << ",\"shards\":" << routing.shard_count()
       << ",\"memory_bytes\":" << routing.memory_bytes()
-      << ",\"indexed_flows\":" << controller_->host_flow_index_size()
-      << ",\"shard_hosts\":[";
-  for (std::size_t s = 0; s < routing.shard_count(); ++s) {
-    if (s > 0) out << ",";
-    out << routing.shard_stats(s).hosts;
-  }
-  out << "]},";
+      << ",\"indexed_flows\":" << controller_->host_flow_index_size() << "},";
 
   if (ha_status_) out << "\"ha\":" << ha_status_() << ",";
 
@@ -237,9 +230,8 @@ std::string WebUi::snapshot_text(SimTime events_from, SimTime events_to) const {
       << controller_->channel_outbox_dropped() << " dropped\n";
   out << "  echo timeouts: " << stats.echo_timeouts << "\n";
   const auto& routing = controller_->routing();
-  out << "  host table: " << routing.size() << " hosts over " << routing.shard_count()
-      << " shards, " << routing.memory_bytes() / 1024 << " KiB, "
-      << controller_->host_flow_index_size() << " hosts with indexed flows (v"
+  out << "  host table: " << routing.size() << " hosts, " << routing.memory_bytes() / 1024
+      << " KiB, " << controller_->host_flow_index_size() << " hosts with indexed flows (v"
       << routing.version() << ")\n";
   if (ha_text_) {
     out << "--- high availability ---\n" << ha_text_();

@@ -26,7 +26,7 @@ class UdpCbrApp {
     /// Explicit payload content; null = zero-filled `packet_payload` bytes.
     /// Flows sharing one PayloadPtr carry byte-identical content (and one
     /// memoized fuzzy digest) — the verdict-cache virality workload.
-    pkt::PayloadPtr content;
+    pkt::PayloadPtr content{};
   };
 
   UdpCbrApp(Host& host, Config config);

@@ -24,7 +24,7 @@ bool EthernetSwitch::port_blocked(PortId port) const {
 
 PortId EthernetSwitch::create_bond(const std::vector<PortId>& members) {
   assert(!members.empty());
-  for (PortId member : members) {
+  for ([[maybe_unused]] PortId member : members) {
     assert(!member_to_bond_.contains(member) && "port already bonded");
   }
   const PortId bond = kBondBase + static_cast<PortId>(bonds_.size());

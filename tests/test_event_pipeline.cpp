@@ -507,7 +507,9 @@ TEST(EventPipeline, MatchesLegacyEventStoreOnSameStream) {
     const auto* lhs = pipeline.by_id(id);
     const auto* rhs = legacy.by_id(id);
     ASSERT_EQ(lhs == nullptr, rhs == nullptr) << id;
-    if (lhs != nullptr) EXPECT_TRUE(same_event(*lhs, *rhs));
+    if (lhs != nullptr) {
+      EXPECT_TRUE(same_event(*lhs, *rhs));
+    }
   }
 }
 
@@ -683,7 +685,9 @@ TEST(EventPipeline, SegmentRestoreRebuildsStandbyReplayWindow) {
     ASSERT_TRUE(standby.restore_segment(blob));
   }
   const auto open = active.export_open_rows();
-  if (!open.empty()) ASSERT_TRUE(standby.restore_rows(open));
+  if (!open.empty()) {
+    ASSERT_TRUE(standby.restore_rows(open));
+  }
 
   ASSERT_EQ(standby.size(), active.size());
   EXPECT_EQ(standby.to_json(0, 1'000'000), active.to_json(0, 1'000'000));

@@ -93,7 +93,9 @@ TEST(PolicyIndexProperty, IndexedLookupMatchesLinearScan) {
       const Policy* fast = table.lookup(key);
       const Policy* ref = reference_lookup(table, key);
       ASSERT_EQ(fast == nullptr, ref == nullptr);
-      if (fast != nullptr) EXPECT_EQ(fast->id, ref->id);
+      if (fast != nullptr) {
+        EXPECT_EQ(fast->id, ref->id);
+      }
     }
   }
 }

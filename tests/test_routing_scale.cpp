@@ -255,7 +255,7 @@ TEST(RoutingScaleChurn, BatchedExpirySweepsTenThousandIdleHosts) {
   EXPECT_EQ(subjects.size(), campus_config.hosts);
 }
 
-// --- mechanics of the sharded layout ----------------------------------------
+// --- mechanics of the arena, chains and wheel -------------------------------
 
 TEST(RoutingTableWheel, TouchedHostsSurviveTheSweepUntilIdle) {
   ctrl::RoutingTable table(10 * kSecond);
@@ -274,8 +274,21 @@ TEST(RoutingTableWheel, TouchedHostsSurviveTheSweepUntilIdle) {
   EXPECT_EQ(table.size(), 0u);
 }
 
+TEST(RoutingTableWheel, ExpireReturnsHostsInDeadlineOrder) {
+  ctrl::RoutingTable table(10 * kSecond);
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    table.learn(mac(0x100 + i), ip(0x100 + i), 1 + i % 4, 1 + i, i * (kSecond / 2));
+  }
+
+  const auto removed = table.expire(100 * kSecond);
+  ASSERT_EQ(removed.size(), 64u);
+  for (std::size_t i = 1; i < removed.size(); ++i) {
+    EXPECT_LE(removed[i - 1].last_seen, removed[i].last_seen) << "at " << i;
+  }
+}
+
 TEST(RoutingTableShards, RemoveSwitchDrainsExactlyThatSwitch) {
-  ctrl::RoutingTable table(120 * kSecond, 8);
+  ctrl::RoutingTable table(120 * kSecond);
   for (std::uint32_t i = 0; i < 100; ++i) {
     table.learn(mac(100 + i), ip(100 + i), 1 + i % 4, 1 + i, 0);
   }
@@ -293,7 +306,7 @@ TEST(RoutingTableShards, RemoveSwitchDrainsExactlyThatSwitch) {
 }
 
 TEST(RoutingTableShards, StatsAccountForEveryHostAndPointersStayStable) {
-  ctrl::RoutingTable table(120 * kSecond, 4);
+  ctrl::RoutingTable table(120 * kSecond);
   table.learn(mac(0x5AB1E), ip(0x7F00007F), 3, 9, kSecond);
   const ctrl::HostLocation* pinned = table.find(mac(0x5AB1E));
   ASSERT_NE(pinned, nullptr);
@@ -306,16 +319,10 @@ TEST(RoutingTableShards, StatsAccountForEveryHostAndPointersStayStable) {
   EXPECT_EQ(pinned->dpid, 3u);
 
   std::size_t hosts = 0;
-  std::size_t bytes = 0;
-  for (std::size_t s = 0; s < table.shard_count(); ++s) {
-    const auto stats = table.shard_stats(s);
-    hosts += stats.hosts;
-    bytes += stats.bytes;
-    EXPECT_GE(stats.arena_slots, stats.hosts);
-  }
+  table.for_each([&hosts](const ctrl::HostLocation&) { ++hosts; });
+  EXPECT_EQ(hosts, 5'001u);
   EXPECT_EQ(hosts, table.size());
-  EXPECT_GT(bytes, table.size() * sizeof(ctrl::HostLocation));
-  EXPECT_GE(table.memory_bytes(), bytes);
+  EXPECT_GT(table.memory_bytes(), table.size() * sizeof(ctrl::HostLocation));
 }
 
 // --- property test: random churn against a reference map model -------------
@@ -412,14 +419,16 @@ void expect_agreement(const ctrl::RoutingTable& table, const ReferenceModel& mod
   // And nothing extra: an IP the model doesn't know must miss.
   for (std::uint32_t probe = 1; probe < 8; ++probe) {
     const std::uint32_t addr = 0x0B000000u + probe * 37;
-    if (!model.by_ip.contains(addr)) EXPECT_EQ(table.find_by_ip(ip(addr)), nullptr);
+    if (!model.by_ip.contains(addr)) {
+      EXPECT_EQ(table.find_by_ip(ip(addr)), nullptr);
+    }
   }
 }
 
 TEST(RoutingTableProperty, RandomChurnAgreesWithReferenceModel) {
   constexpr SimTime kTimeout = 60 * kSecond;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    ctrl::RoutingTable table(kTimeout, 4);
+    ctrl::RoutingTable table(kTimeout);
     ReferenceModel model;
     std::uint64_t counter = 0;
     const auto rnd = [&]() { return splitmix64(seed * 0x9E3779B97F4A7C15ull + ++counter); };

@@ -74,16 +74,16 @@ TEST(WebUi, JsonSnapshotIsWellFormedAndComplete) {
   EXPECT_TRUE(json_well_formed(json)) << json;
   for (const char* field : {"\"switches\"", "\"nodes\"", "\"users\"", "\"service_elements\"",
                             "\"full_mesh\"", "\"events\"", "\"wifi_ap\"", "\"as_switch\"",
-                            "\"routing\"", "\"shard_hosts\""}) {
+                            "\"routing\""}) {
     EXPECT_NE(json.find(field), std::string::npos) << field;
   }
 
-  // The sharded host table reports a consistent occupancy breakdown.
+  // The host table reports its occupancy and footprint.
   const auto& routing = net.network.controller().routing();
   const std::string hosts_field = "\"hosts\":" + std::to_string(routing.size());
   EXPECT_NE(json.find(hosts_field), std::string::npos) << hosts_field;
-  const std::string shards_field = "\"shards\":" + std::to_string(routing.shard_count());
-  EXPECT_NE(json.find(shards_field), std::string::npos) << shards_field;
+  const std::string bytes_field = "\"memory_bytes\":" + std::to_string(routing.memory_bytes());
+  EXPECT_NE(json.find(bytes_field), std::string::npos) << bytes_field;
 
   const std::string text = ui.snapshot_text(0, net.network.sim().now());
   EXPECT_NE(text.find("host table:"), std::string::npos) << text;
