@@ -32,7 +32,8 @@ using namespace livesec;
 namespace {
 
 // Deterministic synthetic event storm (xorshift64*): 23 event types, a few
-// hundred distinct subjects, occasional protocol details, 1ms time steps.
+// hundred distinct host MACs as typed subjects (as the controller raises
+// them), occasional protocol details, 1ms time steps.
 struct StormGen {
   std::uint64_t state = 0x9E3779B97F4A7C15ull;
   SimTime t = 0;
@@ -50,7 +51,7 @@ struct StormGen {
     t += kMillisecond;
     e.time = t;
     e.type = static_cast<mon::EventType>(1 + (r % 23));
-    e.set_subject("host-" + std::to_string(r % 331));
+    e.set_subject(mon::Subject::mac(MacAddress::from_uint64(0x020000000000ull + r % 331)));
     if ((r & 15) == 0) e.set_detail((r & 16) ? "HTTP" : "bittorrent");
     e.dpid = static_cast<DatapathId>(1 + (r % 7));
     e.severity = static_cast<std::uint8_t>(r & 3);

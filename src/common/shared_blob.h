@@ -1,8 +1,8 @@
 // Immutable refcounted byte buffer.
 //
 // Replication holds the same encoded event payload in several places at once
-// — the retention log, the incremental snapshot store, in-flight frames and
-// standby stashes. Records are copied between those owners wholesale, and a
+// — the retention log, the incremental snapshot store and in-flight
+// frames. Records are copied between those owners wholesale, and a
 // multi-kilobyte `std::vector` payload would re-allocate at every hop.
 // SharedBlob freezes the bytes behind a shared_ptr so copying a record is a
 // refcount bump, never a buffer clone.

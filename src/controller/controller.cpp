@@ -50,8 +50,9 @@ Controller::Controller(sim::Simulator& sim, Config config)
 
 void Controller::install_event_observer() {
   // Replication tap: every live-ingested event (ids assigned, times
-  // clamped) is buffered for batched shipment to standbys. Restores do not
-  // fire the observer, so applied records never echo back.
+  // clamped) is buffered for batched shipment to standbys, the only way
+  // events reach them. Restores do not fire the observer, so applied
+  // records never echo back.
   events_.set_ingest_observer([this](const mon::NetworkEvent& event) {
     if (repl_sink_ == nullptr || applying_replicated_ || config_.event_replication_batch == 0) {
       return;
@@ -60,16 +61,6 @@ void Controller::install_event_observer() {
     if (pending_event_repl_.rows() >= config_.event_replication_batch) {
       flush_event_replication();
     }
-  });
-  // Segment tap: a segment sealed by live ingest replicates as one record,
-  // so standbys (and the cluster's incremental snapshot) hold the event
-  // database segment-granularly instead of re-batching it at snapshot time.
-  // Row batches overlapping the segment dedupe by id on the standby.
-  events_.set_seal_observer([this](const mon::Segment& segment) {
-    if (repl_sink_ == nullptr || applying_replicated_ || config_.event_replication_batch == 0) {
-      return;
-    }
-    replicate(ha::EventSegmentRecord{segment.encode_blob()});
   });
 }
 
@@ -1171,73 +1162,34 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
       key.tp_src != 0 && (key.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kTcp) ||
                           key.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kUdp));
 
-  for (SwitchMods& sm : decision.switches) {
+  for (const SwitchMods& sm : decision.switches) {
     auto sw = switches_.find(sm.dpid);
     of::SecureChannel* channel =
         sw != switches_.end() && sw->second.connected ? sw->second.channel : nullptr;
-
-    if (channel != nullptr && channel->wire_encoding()) {
-      // Preserialized replay: the batch is encoded once per decision; each
-      // flow patches its few per-flow bytes into a copy of the frame and
-      // skips the per-message encode entirely.
-      if (sm.frame.empty()) {
-        of::FlowModBatch batch;
-        batch.mods = sm.mods;
-        sm.frame = of::encode_message(of::Message{std::move(batch)}, 0, &sm.mod_offsets);
-      }
-      std::vector<std::uint8_t> frame = sm.frame;
-      const std::span<std::uint8_t> bytes(frame);
-      for (std::size_t i = 0; i < sm.mods.size(); ++i) {
-        const std::size_t at = sm.mod_offsets[i];
-        if (patch_ports) {
-          if (sm.reverse_dir[i] != 0) {
-            pkt::patch_u16(bytes, at + of::FlowModPatchOffsets::kMatchTpDst, key.tp_src);
-          } else {
-            pkt::patch_u16(bytes, at + of::FlowModPatchOffsets::kMatchTpSrc, key.tp_src);
-          }
-        }
-        if (static_cast<int>(i) == sm.ingress_mod) {
-          pkt::patch_u32(bytes, at + of::FlowModPatchOffsets::kBufferId, pin.buffer_id);
-          pkt::patch_u64(bytes, at + of::FlowModPatchOffsets::kCookie, cookie);
-        }
-        of::Match match = sm.mods[i].entry.match;
-        if (patch_ports) {
-          if (sm.reverse_dir[i] != 0) {
-            match.tp_dst(key.tp_src);
-          } else {
-            match.tp_src(key.tp_src);
-          }
-        }
-        record.installed.emplace_back(sm.dpid, std::move(match));
-      }
-      stats_.fastpath.batched_flow_mods += sm.mods.size();
-      channel->send_frame_to_switch(bytes);
-    } else {
-      of::FlowModBatch batch;
-      batch.mods.reserve(sm.mods.size());
-      for (std::size_t i = 0; i < sm.mods.size(); ++i) {
-        of::FlowMod mod = sm.mods[i];
-        if (patch_ports) {
-          if (sm.reverse_dir[i] != 0) {
-            mod.entry.match.tp_dst(key.tp_src);
-          } else {
-            mod.entry.match.tp_src(key.tp_src);
-          }
-        }
-        if (static_cast<int>(i) == sm.ingress_mod) {
-          mod.entry.cookie = cookie;
-          mod.buffer_id = pin.buffer_id;
-        }
-        record.installed.emplace_back(sm.dpid, mod.entry.match);
-        batch.mods.push_back(std::move(mod));
-      }
-      if (channel != nullptr) {
-        if (batch.mods.size() == 1) {
-          channel->send_to_switch(of::Message{std::move(batch.mods.front())});
+    of::FlowModBatch batch;
+    batch.mods.reserve(sm.mods.size());
+    for (std::size_t i = 0; i < sm.mods.size(); ++i) {
+      of::FlowMod mod = sm.mods[i];
+      if (patch_ports) {
+        if (sm.reverse_dir[i] != 0) {
+          mod.entry.match.tp_dst(key.tp_src);
         } else {
-          stats_.fastpath.batched_flow_mods += batch.mods.size();
-          channel->send_to_switch(of::Message{std::move(batch)});
+          mod.entry.match.tp_src(key.tp_src);
         }
+      }
+      if (static_cast<int>(i) == sm.ingress_mod) {
+        mod.entry.cookie = cookie;
+        mod.buffer_id = pin.buffer_id;
+      }
+      record.installed.emplace_back(sm.dpid, mod.entry.match);
+      batch.mods.push_back(std::move(mod));
+    }
+    if (channel != nullptr) {
+      if (batch.mods.size() == 1) {
+        channel->send_to_switch(of::Message{std::move(batch.mods.front())});
+      } else {
+        stats_.fastpath.batched_flow_mods += batch.mods.size();
+        channel->send_to_switch(of::Message{std::move(batch)});
       }
     }
   }
@@ -1732,15 +1684,10 @@ bool Controller::apply_replicated(const ha::RecordBody& body) {
     // (the single-process sims), a plain catch-up when each has its own.
     if (verdict_cache_) verdict_cache_->advance_epoch_to(e->epoch);
   } else if (const auto* e = std::get_if<ha::EventBatchRecord>(&body)) {
-    // Rows keep their active-assigned ids; duplicates from snapshot/log
-    // overlap are deduped inside the pipeline. Stashed lazily: a standby
-    // defers per-row ingestion until a read or promotion needs it, and a
-    // sealed segment arriving first supersedes the blob outright.
-    applied = events_.stash_rows(e->blob);
-  } else if (const auto* e = std::get_if<ha::EventSegmentRecord>(&body)) {
-    // Parked undecoded alongside the row batches it supersedes; a standby
-    // decodes segments only when promoted or read.
-    applied = events_.stash_segment(e->blob);
+    // Rows keep their active-assigned ids and seal into the active's
+    // segment boundaries; duplicates from snapshot/log overlap are deduped
+    // inside the pipeline.
+    applied = events_.restore_rows(e->blob);
   }
   applying_replicated_ = false;
   return applied;
@@ -1807,14 +1754,11 @@ std::vector<ha::RecordBody> Controller::export_state() const {
                                              entry.inspected_bytes});
     }
   }
-  // Event database, segment-granular: one record per sealed columnar
-  // segment plus one row batch for the open tail. A standby importing these
-  // rebuilds its rollups by re-ingesting the rows (DESIGN.md §12).
-  for (std::vector<std::uint8_t>& blob : events_.export_segment_blobs()) {
-    out.push_back(ha::EventSegmentRecord{std::move(blob)});
-  }
-  if (std::vector<std::uint8_t> open = events_.export_open_rows(); !open.empty()) {
-    out.push_back(ha::EventBatchRecord{std::move(open)});
+  // Event database: one row batch per sealed full-tier segment, then one
+  // for the open tail. An importer re-ingests the rows, rebuilding its
+  // rollups and sealing on the same id boundaries (DESIGN.md §12).
+  for (std::vector<std::uint8_t>& blob : events_.export_row_batches()) {
+    out.push_back(ha::EventBatchRecord{std::move(blob)});
   }
   return out;
 }

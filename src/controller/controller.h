@@ -416,11 +416,6 @@ class Controller : public of::ControllerEndpoint {
     std::vector<of::FlowMod> mods;          // class-keyed templates, in order
     std::vector<std::uint8_t> reverse_dir;  // parallel: 1 = reverse-direction
     int ingress_mod = -1;  // patched with cookie + buffer id (forward ingress)
-    /// Lazily built preserialized wire frame (FlowModBatch) + each mod's
-    /// body offset, for channels with wire encoding: replayed with byte
-    /// patches instead of re-encoding per flow.
-    std::vector<std::uint8_t> frame;
-    std::vector<std::size_t> mod_offsets;
   };
 
   struct CachedDecision {

@@ -109,7 +109,10 @@ class RoutingTable {
 
  private:
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kChunkSlots = 4096;  // records per arena chunk
+  /// Records per arena chunk. Small chunks (16 KiB) keep a controller with
+  /// a handful of hosts small, as the session slab's chunks do; growth
+  /// never moves a record either way.
+  static constexpr std::uint32_t kChunkSlots = 256;
 
   struct Record {
     HostLocation loc;

@@ -34,6 +34,7 @@ void HaCluster::add_node(ctrl::Controller& controller) {
   if (nodes_.empty()) {
     node.role = Role::kActive;
     controller.set_replication_sink(this);
+    store_ = SnapshotStore(SnapshotStore::event_rows_for(controller.events().config()));
   }
   nodes_.push_back(std::move(node));
 }

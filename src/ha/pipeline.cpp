@@ -32,7 +32,6 @@ std::size_t approx_record_bytes(const RecordBody& body) {
     std::size_t operator()(const VerdictLearnedRecord&) { return 48; }
     std::size_t operator()(const VerdictCacheEpochRecord&) { return 4; }
     std::size_t operator()(const EventBatchRecord& r) { return 4 + r.blob.size(); }
-    std::size_t operator()(const EventSegmentRecord& r) { return 4 + r.blob.size(); }
   };
   return std::visit(Sizer{}, body);
 }

@@ -18,7 +18,7 @@
 //    records for the key never coalesce back across it. A DHCP pool
 //    reconfiguration fences every lease key (applying it resets the pool).
 //  - Everything else — epoch bumps, promotions-era records, policy changes,
-//    switch state, flow verdicts, event batches/segments — never merges.
+//    switch state, flow verdicts, event batches — never merges.
 #pragma once
 
 #include <cstdint>

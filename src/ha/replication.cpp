@@ -117,7 +117,6 @@ enum class RecordType : std::uint8_t {
   kVerdictLearned = 19,
   kVerdictCacheEpoch = 20,
   kEventBatch = 21,
-  kEventSegment = 22,
 };
 
 void encode_mac(pkt::BufferWriter& w, const MacAddress& mac) { w.u64(mac.to_uint64()); }
@@ -275,10 +274,6 @@ void encode_body(pkt::BufferWriter& w, const RecordBody& body, FrameDictEncoder*
     w.u8(static_cast<std::uint8_t>(RecordType::kEventBatch));
     put_u32(w, static_cast<std::uint32_t>(batch->blob.size()), dict);
     w.bytes(batch->blob);
-  } else if (const auto* segment = std::get_if<EventSegmentRecord>(&body)) {
-    w.u8(static_cast<std::uint8_t>(RecordType::kEventSegment));
-    put_u32(w, static_cast<std::uint32_t>(segment->blob.size()), dict);
-    w.bytes(segment->blob);
   } else {
     const auto& down = std::get<SwitchDownRecord>(body);
     w.u8(static_cast<std::uint8_t>(RecordType::kSwitchDown));
@@ -384,11 +379,6 @@ std::optional<RecordBody> decode_body(pkt::BufferReader& r, FrameDictDecoder* di
       if (!r.ok() || len > r.remaining()) return std::nullopt;
       return EventBatchRecord{r.bytes(len)};
     }
-    case RecordType::kEventSegment: {
-      const std::uint32_t len = get_u32(r, dict);
-      if (!r.ok() || len > r.remaining()) return std::nullopt;
-      return EventSegmentRecord{r.bytes(len)};
-    }
   }
   return std::nullopt;
 }
@@ -418,7 +408,6 @@ const char* record_name(const RecordBody& body) {
     const char* operator()(const VerdictLearnedRecord&) { return "verdict_learned"; }
     const char* operator()(const VerdictCacheEpochRecord&) { return "verdict_cache_epoch"; }
     const char* operator()(const EventBatchRecord&) { return "event_batch"; }
-    const char* operator()(const EventSegmentRecord&) { return "event_segment"; }
   };
   return std::visit(Namer{}, body);
 }

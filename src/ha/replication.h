@@ -42,8 +42,9 @@ namespace livesec::ha {
 /// Bumped when the record wire format changes; a standby refuses frames
 /// carrying a different version (mixed-version clusters resync via snapshot).
 /// v2 introduced group-commit frames (varint-packed, per-frame MAC/dpid
-/// dictionaries).
-inline constexpr std::uint16_t kReplicationFormatVersion = 2;
+/// dictionaries); v3 dropped the sealed-segment event record (type 22):
+/// events reach a standby only as row batches.
+inline constexpr std::uint16_t kReplicationFormatVersion = 3;
 
 /// Marker byte after the format version that opens every frame.
 inline constexpr std::uint8_t kFrameMagic = 0xF7;
@@ -181,17 +182,12 @@ struct VerdictCacheEpochRecord {
 };
 
 /// A batch of raised events (mon::EventPipeline::encode_rows blob, ids
-/// assigned by the active). Live event replication ships these; snapshots
-/// carry one for the open (not yet sealed) tail of the event database.
-/// The payload is refcounted: the log, snapshot store, frames and standby
-/// stashes all hold the same buffer.
+/// assigned by the active). This is the only form in which events reach a
+/// standby: live replication ships one per `event_replication_batch` rows,
+/// and a full-state export carries one per sealed segment plus one for the
+/// open tail. The payload is refcounted: the log, the snapshot store and
+/// frames all hold the same buffer.
 struct EventBatchRecord {
-  SharedBlob blob;
-};
-
-/// One sealed columnar event segment (mon::Segment wire blob). Snapshots
-/// carry the event database segment-granularly: one record per segment.
-struct EventSegmentRecord {
   SharedBlob blob;
 };
 
@@ -201,7 +197,7 @@ using RecordBody =
                  SeRemovedRecord, FlowBlockedRecord, FlowUnblockedRecord, DhcpConfigRecord,
                  DhcpLeaseRecord, DhcpReleaseRecord, SwitchUpRecord, SwitchDownRecord,
                  FlowOffloadedRecord, FlowOnloadedRecord, VerdictLearnedRecord,
-                 VerdictCacheEpochRecord, EventBatchRecord, EventSegmentRecord>;
+                 VerdictCacheEpochRecord, EventBatchRecord>;
 
 const char* record_name(const RecordBody& body);
 

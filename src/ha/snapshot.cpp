@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "monitor/column_store.h"
-#include "monitor/event_pipeline.h"
-
 namespace livesec::ha {
 
 namespace {
@@ -114,37 +111,26 @@ void SnapshotStore::fold_switch_down(const SwitchDownRecord& down) {
   }
 }
 
-void SnapshotStore::fold_event_batch(const EventBatchRecord& batch) {
-  // A validation walk, not a decode: folding runs on the active's flush
-  // path, so the rows must never be materialized here.
-  const auto peek = mon::EventPipeline::peek_rows(batch.blob);
-  if (!peek || peek->count == 0) {
-    if (!peek) ++stats_.fold_failures;
-    return;
-  }
-  // Rows a sealed segment already covers would be deduped on import anyway;
-  // skip carrying them at all.
-  if (peek->id_max <= covered_event_id_) {
-    ++stats_.batches_compacted;
-    return;
-  }
-  batches_.emplace_back(peek->id_max, batch);
+std::size_t SnapshotStore::event_rows_for(const mon::EventPipeline::Config& events) {
+  return events.full_segments == 0 ? 0 : (events.full_segments + 2) * events.segment_rows;
 }
 
-void SnapshotStore::fold_event_segment(const EventSegmentRecord& segment) {
-  const auto zone = mon::Segment::decode_blob_zone(segment.blob);
-  if (!zone) {
-    ++stats_.fold_failures;
+void SnapshotStore::fold_event_batch(const EventBatchRecord& batch) {
+  // A header read, not a decode: folding runs on the active's flush path,
+  // so the rows must never be materialized here.
+  const auto rows = mon::EventPipeline::peek_rows(batch.blob);
+  if (!rows || *rows == 0) {
+    if (!rows) ++stats_.fold_failures;
     return;
   }
-  segments_.push_back(segment);
-  if (zone->id_max > covered_event_id_) covered_event_id_ = zone->id_max;
-  // Compact row batches the sealed segments now cover.
-  while (!batches_.empty() && batches_.front().first <= covered_event_id_) {
+  batches_.emplace_back(*rows, batch);
+  batch_rows_ += *rows;
+  if (event_rows_ == 0) return;
+  while (batch_rows_ - batches_.front().first >= event_rows_) {
+    batch_rows_ -= batches_.front().first;
     batches_.pop_front();
     ++stats_.batches_compacted;
   }
-  while (segments_.size() > config_.max_event_segments) segments_.pop_front();
 }
 
 void SnapshotStore::fold(const RecordBody& body) {
@@ -234,20 +220,17 @@ void SnapshotStore::fold(const RecordBody& body) {
     entries_[key1(Domain::kVerdictEpoch, 0)] = VerdictCacheEpochRecord{verdict_epoch_};
   } else if (const auto* batch = std::get_if<EventBatchRecord>(&body)) {
     fold_event_batch(*batch);
-  } else if (const auto* segment = std::get_if<EventSegmentRecord>(&body)) {
-    fold_event_segment(*segment);
   }
 }
 
 std::vector<RecordBody> SnapshotStore::export_records() const {
   std::vector<RecordBody> out;
-  out.reserve(entries_.size() + segments_.size() + batches_.size());
+  out.reserve(entries_.size() + batches_.size());
   // The map is keyed (domain, id) with domains in Controller::export_state
   // order, so a single pass emits config before leases, the epoch before
   // verdict entries, and switches before everything that routes over them.
   for (const auto& [key, body] : entries_) out.push_back(body);
-  for (const EventSegmentRecord& segment : segments_) out.push_back(segment);
-  for (const auto& [max_id, batch] : batches_) out.push_back(batch);
+  for (const auto& [rows, batch] : batches_) out.push_back(batch);
   return out;
 }
 

@@ -19,14 +19,17 @@
 //    pool);
 //  - a verdict-cache epoch bump keeps the max epoch and drops folded verdict
 //    entries (they were learned under a dead world);
-//  - event batches queue until a sealed-segment record covers their ids, then
-//    compact away; segments are capped at `max_event_segments` like the
-//    monitor's own retention.
+//  - event batches queue in id order; the oldest drop off while the rest
+//    still hold the event bound, (full_segments + 2) * segment_rows of the
+//    active's pipeline. An importer then re-seals the active's full tier
+//    exactly: segment boundaries and staging drains depend on ids alone
+//    (column_store.h, EventPipeline::stage), and the one short segment the
+//    retained rows start with falls past the full tier. An unbounded
+//    pipeline (bound 0) keeps every batch.
 //
 // Export order mirrors Controller::export_state: config, switches, LS ports,
 // links, hosts, SEs, default action, policies, blocked/offloaded flows,
-// leases, verdict epoch + entries, then event segments and batches in id
-// order (the importer dedupes ids, so segment/batch overlap is harmless).
+// leases, verdict epoch + entries, then event batches in id order.
 #pragma once
 
 #include <array>
@@ -37,27 +40,27 @@
 #include <vector>
 
 #include "ha/replication.h"
+#include "monitor/event_pipeline.h"
 
 namespace livesec::ha {
 
 class SnapshotStore {
  public:
-  struct Config {
-    /// Sealed event segments retained for bootstrap (oldest evicted first);
-    /// mirrors the monitor pipeline's summary-tier default.
-    std::size_t max_event_segments = 64;
-  };
-
   struct Stats {
     std::uint64_t records_folded = 0;
     std::uint64_t entries_erased = 0;     // removals/fences that hit a key
     std::uint64_t ips_displaced = 0;      // displaced-owner IP clears
-    std::uint64_t batches_compacted = 0;  // event batches a segment covered
+    std::uint64_t batches_compacted = 0;  // event batches trimmed to the bound
     std::uint64_t fold_failures = 0;      // undecodable event blobs skipped
   };
 
-  SnapshotStore() = default;
-  explicit SnapshotStore(Config config) : config_(config) {}
+  /// `event_rows`: rows of event batches to retain (0 = every batch).
+  explicit SnapshotStore(std::size_t event_rows = 0) : event_rows_(event_rows) {}
+
+  /// The event bound that lets an importer with this pipeline config rebuild
+  /// the active's full tier: (full_segments + 2) * segment_rows, or 0 for an
+  /// unbounded pipeline.
+  static std::size_t event_rows_for(const mon::EventPipeline::Config& events);
 
   /// Folds one committed record into the store. Call in commit (log) order.
   void fold(const RecordBody& body);
@@ -66,7 +69,6 @@ class SnapshotStore {
   std::vector<RecordBody> export_records() const;
 
   std::size_t entry_count() const { return entries_.size(); }
-  std::size_t event_segment_count() const { return segments_.size(); }
   std::size_t event_batch_count() const { return batches_.size(); }
   const Stats& stats() const { return stats_; }
 
@@ -105,9 +107,8 @@ class SnapshotStore {
   void fold_lease(const DhcpLeaseRecord& lease);
   void fold_switch_down(const SwitchDownRecord& down);
   void fold_event_batch(const EventBatchRecord& batch);
-  void fold_event_segment(const EventSegmentRecord& segment);
 
-  Config config_{};
+  std::size_t event_rows_ = 0;
   Stats stats_;
   std::map<Key, RecordBody> entries_;
 
@@ -119,10 +120,9 @@ class SnapshotStore {
 
   std::uint64_t verdict_epoch_ = 0;
 
-  std::deque<EventSegmentRecord> segments_;
-  /// (max event id, batch) in id order; compacted once a segment covers them.
-  std::deque<std::pair<std::uint64_t, EventBatchRecord>> batches_;
-  std::uint64_t covered_event_id_ = 0;
+  /// (row count, batch) in id order.
+  std::deque<std::pair<std::uint32_t, EventBatchRecord>> batches_;
+  std::size_t batch_rows_ = 0;
 };
 
 }  // namespace livesec::ha

@@ -316,34 +316,33 @@ std::optional<Segment> Segment::decode_blob(std::span<const std::uint8_t> blob) 
   return seg;
 }
 
-std::optional<SegmentZone> Segment::decode_blob_zone(std::span<const std::uint8_t> blob) {
-  pkt::BufferReader r(blob);
-  if (r.u32() != kSegmentMagic || r.u8() != kSegmentVersion) return std::nullopt;
-  if (!r.ok()) return std::nullopt;
-  SegmentZone zone;
-  zone.rows = r.u32();
-  zone.time_min = static_cast<SimTime>(r.u64());
-  zone.time_max = static_cast<SimTime>(r.u64());
-  zone.id_min = r.u64();
-  zone.id_max = r.u64();
-  zone.type_mask = r.u32();
-  zone.severity_max = r.u8();
-  if (!r.ok()) return std::nullopt;
-  return zone;
-}
-
 // --- ColumnStore -------------------------------------------------------------
 
+void ColumnStore::seal_open() {
+  open_.seal();
+  sealed_.push_back(std::move(open_));
+  open_ = Segment(segment_rows_);
+}
+
 bool ColumnStore::append(const NetworkEvent& event) {
+  bool sealed = false;
+  // A row past the open block closes the open segment first (a gap in the
+  // ids, as where a bootstrapped replica's retained rows begin).
+  if (!open_.empty() && event.id > open_last_id_) {
+    seal_open();
+    sealed = true;
+  }
+  if (open_.empty()) {
+    open_last_id_ = (event.id / segment_rows_ + (event.id % segment_rows_ != 0 ? 1 : 0)) *
+                    segment_rows_;
+  }
   open_.append(event);
   ++rows_;
-  if (segment_rows_ > 0 && open_.rows() >= segment_rows_) {
-    open_.seal();
-    sealed_.push_back(std::move(open_));
-    open_ = Segment(segment_rows_);
-    return true;
+  if (event.id == open_last_id_) {
+    seal_open();
+    sealed = true;
   }
-  return false;
+  return sealed;
 }
 
 Segment ColumnStore::pop_oldest_sealed() {
@@ -351,14 +350,6 @@ Segment ColumnStore::pop_oldest_sealed() {
   sealed_.pop_front();
   rows_ -= oldest.rows();
   return oldest;
-}
-
-bool ColumnStore::seal_open() {
-  if (open_.empty()) return false;
-  open_.seal();
-  sealed_.push_back(std::move(open_));
-  open_ = Segment(segment_rows_);
-  return true;
 }
 
 std::size_t ColumnStore::scan_range(SimTime from, SimTime to,

@@ -1,12 +1,13 @@
 // Columnar event segments (DESIGN.md §12). Ingest fills an open
 // struct-of-arrays segment: typed subjects and details are integer columns,
 // and only the rare free-text rows go through a per-segment dictionary. At
-// segment_rows the segment is sealed, its zone map (time/id min-max, type
-// bitmap, max severity) frozen, and queries prune whole sealed segments on
-// the zone map before touching any column. Sealed segments serialize
-// independently (segment-granular snapshots for HA replication).
+// the end of each segment_rows-wide id block the segment is sealed, its zone
+// map (time/id min-max, type bitmap, max severity) frozen, and queries prune
+// whole sealed segments on the zone map before touching any column. Sealed
+// segments serialize independently (EventPipeline::serialize).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -89,10 +90,6 @@ class Segment {
   /// non-monotone times/ids).
   static std::optional<Segment> decode(pkt::BufferReader& r);
   static std::optional<Segment> decode_blob(std::span<const std::uint8_t> blob);
-  /// Parses only the blob's fixed header (magic, version, zone map) — lets a
-  /// holder of encoded blobs learn the covered id span without the full
-  /// column materialization.
-  static std::optional<SegmentZone> decode_blob_zone(std::span<const std::uint8_t> blob);
 
  private:
   std::uint32_t intern(const std::string& s);
@@ -131,12 +128,20 @@ class Segment {
 };
 
 /// A time-ordered run of sealed segments plus one open tail segment.
+/// Segment boundaries depend on ids alone: with S = segment_rows, segment k
+/// holds ids in (k*S, (k+1)*S]. For ids that run 1, 2, 3... that is "seal
+/// every S rows"; a replica whose rows start mid-block (a bootstrap from
+/// retained row batches) seals one short segment and then lands on the
+/// same boundaries as the store it copies.
 class ColumnStore {
  public:
-  explicit ColumnStore(std::size_t segment_rows) : segment_rows_(segment_rows) {}
+  explicit ColumnStore(std::size_t segment_rows)
+      : segment_rows_(std::max<std::size_t>(segment_rows, 1)) {}
 
-  /// Appends one fully-assigned event, sealing the open segment when full.
-  /// Returns true when a segment was sealed by this append.
+  /// Appends one fully-assigned event (ids strictly increasing). Seals the
+  /// open segment before a row of a later id block and right after a row
+  /// whose id is a multiple of segment_rows. Returns true when this append
+  /// sealed a segment.
   bool append(const NetworkEvent& event);
 
   std::size_t rows() const { return rows_; }
@@ -164,14 +169,16 @@ class ColumnStore {
 
   std::size_t memory_bytes() const;
 
-  /// Force-seals the open segment if it holds any rows (snapshot cut).
-  bool seal_open();
-
  private:
+  void seal_open();
+
   std::size_t segment_rows_;
   std::size_t rows_ = 0;
   std::deque<Segment> sealed_;
   Segment open_;
+  /// Last id of the open segment's block: the multiple of segment_rows at
+  /// or above its first id.
+  std::uint64_t open_last_id_ = 0;
   /// Scratch row for find_id's materialized result.
   mutable NetworkEvent found_;
 

@@ -12,10 +12,10 @@ constexpr std::uint32_t kPipelineMagic = 0x4C504950;  // "LPIP"
 // v2: typed rows and Top-K keys (v1 stored subject/detail strings).
 constexpr std::uint8_t kPipelineVersion = 2;
 constexpr std::uint32_t kRowsMagic = 0x4C424154;  // "LBAT"
-// v2 carried the id range (min, max) in the header so consumers on the
-// replication hot path (standby stash, snapshot fold) can classify a batch
-// without walking its rows; v3 rows are typed (subject/detail kinds and
-// varint values) instead of carrying subject/detail strings.
+// v2 carried the id range (min, max) in the header so the replication hot
+// path (the snapshot fold) can size a batch without walking its rows; v3
+// rows are typed (subject/detail kinds and varint values) instead of
+// carrying subject/detail strings.
 constexpr std::uint8_t kRowsVersion = 3;
 /// Header: u32 magic, u8 version, u32 count, u64 id_min, u64 id_max.
 constexpr std::size_t kRowsCountOffset = 5;
@@ -141,7 +141,12 @@ void EventPipeline::stage(NetworkEvent&& event) {
   // Reserved on the first row, not at construction: a pipeline that never
   // sees an event holds no staging buffer.
   if (staging_.capacity() == 0) staging_.reserve(config_.staging_rows);
+  // Drains after a row whose id is a multiple of staging_rows, which for
+  // ids 1, 2, 3... is every staging_rows rows. A replica whose rows start
+  // mid-run thus drains, and seals, in step with the store it copies.
+  const bool run_end = event.id % config_.staging_rows == 0;
   staging_.push_back(std::move(event));
+  if (run_end || staging_.size() >= config_.staging_rows) drain_staging();
 }
 
 std::uint64_t EventPipeline::ingest(NetworkEvent&& event) {
@@ -154,58 +159,34 @@ std::uint64_t EventPipeline::ingest(NetworkEvent&& event) {
   ++counters_.appended;
   rollups_.ingest(event);
   if (observer_) observer_(event);
+  const std::uint64_t id = event.id;
   stage(std::move(event));
-  return staging_.back().id;
-}
-
-std::uint64_t EventPipeline::append(NetworkEvent event) {
-  ensure_drained();  // live rows must land after any deferred restores
-  const std::uint64_t id = ingest(std::move(event));
-  if (staging_.size() >= config_.staging_rows) drain_staging();
   return id;
 }
 
+std::uint64_t EventPipeline::append(NetworkEvent event) { return ingest(std::move(event)); }
+
 std::size_t EventPipeline::append_batch(std::vector<NetworkEvent> rows) {
   if (rows.empty()) return 0;
-  ensure_drained();
   ++counters_.batches;
-  for (NetworkEvent& row : rows) {
-    ingest(std::move(row));
-    if (staging_.size() >= config_.staging_rows) drain_staging();
-  }
+  for (NetworkEvent& row : rows) ingest(std::move(row));
   return rows.size();
 }
 
 void EventPipeline::drain_staging() {
   const std::size_t sealed_before = columns_.sealed_segments();
-  for (NetworkEvent& row : staging_) {
-    if (columns_.append(row)) ++counters_.segments_sealed;
-  }
+  for (const NetworkEvent& row : staging_) columns_.append(row);
   staging_.clear();
-  const std::size_t sealed_after = columns_.sealed_segments();
-  if (sealed_after == sealed_before) return;
-  // Publish newly sealed segments before retention may downsample them.
-  if (seal_observer_ && !restoring_) {
-    for (std::size_t i = sealed_before; i < sealed_after; ++i) {
-      seal_observer_(columns_.sealed()[i]);
-    }
-  }
+  const std::size_t sealed = columns_.sealed_segments() - sealed_before;
+  if (sealed == 0) return;
+  counters_.segments_sealed += sealed;
   enforce_retention();
 }
 
 void EventPipeline::enforce_retention() {
   if (config_.full_segments == 0) return;
   while (columns_.sealed_segments() > config_.full_segments) {
-    Segment old = columns_.pop_oldest_sealed();
-    // A clean-tail-restored segment may still owe its rollup fold; pay it
-    // before the rows are downsampled away.
-    const auto pending =
-        std::find(rollup_pending_.begin(), rollup_pending_.end(), old.zone().id_min);
-    if (pending != rollup_pending_.end()) {
-      for (std::size_t i = 0; i < old.rows(); ++i) rollups_.ingest(old.row(i));
-      rollup_pending_.erase(pending);
-    }
-    summaries_.push_back(summarize(old));
+    summaries_.push_back(summarize(columns_.pop_oldest_sealed()));
     ++counters_.segments_downsampled;
   }
   while (summaries_.size() > config_.summary_segments) {
@@ -233,7 +214,6 @@ EventPipeline::SegmentSummary EventPipeline::summarize(const Segment& segment) c
 // --- queries -----------------------------------------------------------------
 
 const NetworkEvent* EventPipeline::by_id(std::uint64_t id) const {
-  ensure_drained();
   for (auto it = staging_.rbegin(); it != staging_.rend(); ++it) {
     if (it->id == id) return &*it;
   }
@@ -248,7 +228,6 @@ std::vector<NetworkEvent> EventPipeline::query_range(SimTime from, SimTime to) c
 
 std::vector<NetworkEvent> EventPipeline::query_type(EventType type, SimTime from,
                                                     SimTime to) const {
-  ensure_drained();
   std::vector<NetworkEvent> out;
   columns_.scan_type(type, from, to, [&out](const NetworkEvent& e) { out.push_back(e); });
   for (const NetworkEvent& e : staging_) {
@@ -259,7 +238,6 @@ std::vector<NetworkEvent> EventPipeline::query_type(EventType type, SimTime from
 
 std::vector<NetworkEvent> EventPipeline::query_subject(const std::string& subject,
                                                        std::size_t limit) const {
-  ensure_drained();
   const SubjectKey key = SubjectKey::parse(subject);
   std::vector<NetworkEvent> out;
   for (auto it = staging_.rbegin(); it != staging_.rend() && out.size() < limit; ++it) {
@@ -274,7 +252,6 @@ std::vector<NetworkEvent> EventPipeline::query_subject(const std::string& subjec
 
 std::size_t EventPipeline::replay(SimTime from, SimTime to,
                                   const std::function<void(const NetworkEvent&)>& visit) const {
-  ensure_drained();
   std::size_t count = columns_.scan_range(from, to, visit);
   for (const NetworkEvent& e : staging_) {
     if (e.time >= from && e.time < to) {
@@ -286,7 +263,6 @@ std::size_t EventPipeline::replay(SimTime from, SimTime to,
 }
 
 std::vector<std::pair<EventType, std::size_t>> EventPipeline::histogram() const {
-  ensure_drained();
   std::array<std::uint64_t, kEventTypeSlots> totals{};
   for (const RollupStore::Bucket& bucket : rollups_.buckets()) {
     for (std::size_t slot = 0; slot < totals.size(); ++slot) {
@@ -317,7 +293,6 @@ std::string EventPipeline::to_json(SimTime from, SimTime to) const {
 
 std::size_t EventPipeline::memory_bytes() const {
   std::size_t staging_bytes = staging_.capacity() * sizeof(NetworkEvent);
-  for (const StashEntry& entry : stash_) staging_bytes += entry.blob.size();
   for (const NetworkEvent& e : staging_) staging_bytes += e.text.size();
   const std::size_t rollup_bytes =
       rollups_.bucket_count() * sizeof(RollupStore::Bucket) +
@@ -334,12 +309,11 @@ std::vector<std::uint8_t> EventPipeline::encode_rows(std::span<const NetworkEven
   return encoder.take();
 }
 
-std::optional<EventPipeline::RowsPeek> EventPipeline::peek_rows(
-    std::span<const std::uint8_t> blob) {
-  // O(1): the v2 header carries the row count and id range, so the hot
-  // paths (standby stash, snapshot fold) never walk the rows. The size
-  // check below is a lower bound (rows have variable-length strings); the
-  // exact byte-accounting happens in decode_rows when the blob is consumed.
+std::optional<std::uint32_t> EventPipeline::peek_rows(std::span<const std::uint8_t> blob) {
+  // O(1): the v2 header carries the row count and id range, so the hot path
+  // (the snapshot fold) never walks the rows. The size check below is a
+  // lower bound (rows have variable-length strings); the exact
+  // byte-accounting happens in decode_rows when the blob is consumed.
   pkt::BufferReader r(blob);
   if (r.u32() != kRowsMagic || r.u8() != kRowsVersion) return std::nullopt;
   if (!r.ok()) return std::nullopt;
@@ -349,10 +323,7 @@ std::optional<EventPipeline::RowsPeek> EventPipeline::peek_rows(
   if (!r.ok() || count > r.remaining() / kRowWireBytes) return std::nullopt;
   if (count == 0 && (id_min != 0 || id_max != 0 || r.remaining() != 0)) return std::nullopt;
   if (count != 0 && id_min > id_max) return std::nullopt;
-  RowsPeek peek;
-  peek.count = count;
-  peek.id_max = id_max;
-  return peek;
+  return count;
 }
 
 std::optional<std::vector<NetworkEvent>> EventPipeline::decode_rows(
@@ -376,22 +347,34 @@ std::optional<std::vector<NetworkEvent>> EventPipeline::decode_rows(
     seen_max = std::max(seen_max, id);
   }
   if (r.remaining() != 0) return std::nullopt;
-  // The header id range is trusted by peek_rows consumers (stash
-  // supersession, snapshot compaction) — reject blobs whose rows disagree.
+  // The header is trusted by peek_rows consumers — reject blobs whose rows
+  // disagree with it.
   if (seen_min != id_min || seen_max != id_max) return std::nullopt;
   return rows;
 }
 
 std::vector<std::vector<std::uint8_t>> EventPipeline::export_segment_blobs() const {
-  ensure_drained();
   std::vector<std::vector<std::uint8_t>> blobs;
   blobs.reserve(columns_.sealed_segments());
   for (const Segment& seg : columns_.sealed()) blobs.push_back(seg.encode_blob());
   return blobs;
 }
 
+std::vector<std::vector<std::uint8_t>> EventPipeline::export_row_batches() const {
+  std::vector<std::vector<std::uint8_t>> batches;
+  batches.reserve(columns_.sealed_segments() + 1);
+  for (const Segment& seg : columns_.sealed()) {
+    RowBatchEncoder encoder;
+    for (std::size_t i = 0; i < seg.rows(); ++i) encoder.add(seg.row(i));
+    batches.push_back(encoder.take());
+  }
+  if (std::vector<std::uint8_t> open = export_open_rows(); !open.empty()) {
+    batches.push_back(std::move(open));
+  }
+  return batches;
+}
+
 std::vector<std::uint8_t> EventPipeline::export_open_rows() const {
-  ensure_drained();
   std::vector<NetworkEvent> rows;
   const Segment& open = columns_.open_segment();
   rows.reserve(open.rows() + staging_.size());
@@ -414,87 +397,11 @@ void EventPipeline::ingest_restored(NetworkEvent&& event) {
   ++counters_.restored_rows;
   rollups_.ingest(event);
   stage(std::move(event));
-  if (staging_.size() >= config_.staging_rows) drain_staging();
-}
-
-bool EventPipeline::stash_rows(SharedBlob blob) {
-  const auto peek = peek_rows(blob.span());
-  if (!peek) return false;
-  if (peek->count == 0) return true;
-  stash_.push_back(StashEntry{false, peek->id_max, peek->count, std::move(blob)});
-  stash_rows_count_ += peek->count;
-  // Safety valve: if sealed segments stop arriving (a replay window smaller
-  // than one segment), materialize instead of hoarding blobs unbounded.
-  if (stash_rows_count_ > config_.segment_rows * 2) drain_stash();
-  return true;
-}
-
-bool EventPipeline::stash_segment(SharedBlob blob) {
-  const auto zone = Segment::decode_blob_zone(blob.span());
-  if (!zone) return false;
-  if (zone->rows == 0) return true;
-  // Stashed row batches this segment covers are superseded wholesale; the
-  // rows arrive again inside the (cheaper, columnar) segment blob.
-  for (auto it = stash_.begin(); it != stash_.end();) {
-    if (!it->segment && it->id_max <= zone->id_max) {
-      stash_rows_count_ -= it->rows;
-      ++counters_.restore_skipped;
-      it = stash_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  stash_.push_back(StashEntry{true, zone->id_max, 0, std::move(blob)});
-  ++stash_segment_count_;
-  // Safety valve: a bounded replica must not hoard more segment blobs than
-  // retention would keep decoded; draining installs them and lets retention
-  // downsample/evict as usual.
-  if (config_.full_segments != 0 && stash_segment_count_ > config_.full_segments + 1) {
-    drain_stash();
-  }
-  return true;
-}
-
-void EventPipeline::drain_stash() {
-  // Move the deferred state out first: restore_rows and the query paths
-  // re-enter ensure_drained, which must see an empty stash.
-  std::deque<std::uint64_t> pending;
-  pending.swap(rollup_pending_);
-  std::deque<StashEntry> stash;
-  stash.swap(stash_);
-  stash_rows_count_ = 0;
-  stash_segment_count_ = 0;
-
-  // Fold clean-tail-restored segments into the rollups, oldest first; they
-  // were installed wholesale without the per-row rollup pass.
-  for (const std::uint64_t id_min : pending) {
-    for (const Segment& segment : columns_.sealed()) {
-      if (segment.zone().id_min != id_min) continue;
-      for (std::size_t i = 0; i < segment.rows(); ++i) rollups_.ingest(segment.row(i));
-      break;
-    }
-  }
-  // Then materialize the stashed blobs in arrival order. A segment entry
-  // re-defers its rollup fold via rollup_pending_; the ensure_drained at the
-  // top of restore_rows pays it before any later rows reach the rollups, so
-  // bucket times stay non-decreasing.
-  for (StashEntry& entry : stash) {
-    if (entry.segment) {
-      restore_segment(entry.blob.span());
-    } else {
-      restore_rows(entry.blob.span());
-    }
-  }
-  // A trailing segment entry may have left its rollup fold pending; pay it
-  // now so the read that triggered this drain sees complete rollups.
-  if (!rollup_pending_.empty() && stash_.empty()) drain_stash();
 }
 
 bool EventPipeline::restore_rows(std::span<const std::uint8_t> blob) {
-  ensure_drained();  // keep id order: stashed batches precede this one
   auto rows = decode_rows(blob);
   if (!rows) return false;
-  restoring_ = true;
   for (NetworkEvent& row : *rows) {
     if (row.id < next_id_) {
       ++counters_.restore_skipped;  // snapshot/log overlap: already applied
@@ -502,60 +409,10 @@ bool EventPipeline::restore_rows(std::span<const std::uint8_t> blob) {
     }
     ingest_restored(std::move(row));
   }
-  restoring_ = false;
-  return true;
-}
-
-bool EventPipeline::restore_segment(std::span<const std::uint8_t> blob) {
-  auto segment = Segment::decode_blob(blob);
-  if (!segment) return false;
-  // Stashed row batches this segment covers are superseded wholesale —
-  // discarding them here is what makes lazy batch restore O(0) per row.
-  while (!stash_.empty() && !stash_.front().segment &&
-         stash_.front().id_max <= segment->zone().id_max) {
-    stash_rows_count_ -= stash_.front().rows;
-    stash_.pop_front();
-    ++counters_.restore_skipped;
-  }
-  if (segment->empty() || segment->zone().id_max < next_id_) {
-    ++counters_.restore_skipped;
-    return true;
-  }
-  // Fast path: a whole segment newer than everything held slots straight
-  // into the sealed tier, no re-encoding; its rollup fold is deferred until
-  // the first read. Anything else (partial overlap, rows already staged)
-  // degrades to row-wise restore with id dedupe.
-  const bool clean_tail = staging_.empty() && columns_.open_segment().empty() &&
-                          segment->zone().id_min >= next_id_ &&
-                          segment->zone().time_min >= last_time_;
-  if (clean_tail) {
-    rollup_pending_.push_back(segment->zone().id_min);
-    counters_.appended += segment->rows();
-    counters_.restored_rows += segment->rows();
-    ++counters_.restored_segments;
-    next_id_ = segment->zone().id_max + 1;
-    last_time_ = segment->zone().time_max;
-    columns_.rows_ += segment->rows();
-    columns_.sealed_.push_back(std::move(*segment));
-    ++counters_.segments_sealed;
-    enforce_retention();
-    return true;
-  }
-  restoring_ = true;
-  for (std::size_t i = 0; i < segment->rows(); ++i) {
-    NetworkEvent row = segment->row(i);
-    if (row.id < next_id_) {
-      ++counters_.restore_skipped;
-      continue;
-    }
-    ingest_restored(std::move(row));
-  }
-  restoring_ = false;
   return true;
 }
 
 std::vector<std::uint8_t> EventPipeline::serialize() const {
-  ensure_drained();
   pkt::BufferWriter w;
   w.u32(kPipelineMagic);
   w.u8(kPipelineVersion);

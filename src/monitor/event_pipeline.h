@@ -5,8 +5,10 @@
 // (rollup.h) at append time. Retention keeps recent segments at full
 // fidelity, downsamples older ones to per-segment summaries, and evicts the
 // oldest (pruning rollup buckets with them), so memory stays bounded at any
-// event volume. Sealed segments serialize independently, which is what the
-// HA snapshot path replicates (one record per segment).
+// event volume. Events reach an HA standby only as row batches (encode_rows /
+// restore_rows): a standby ingests every row it receives and seals its own
+// segments, which land on the active's boundaries because segment spans and
+// staging drains follow ids alone.
 #pragma once
 
 #include <array>
@@ -18,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/shared_blob.h"
 #include "monitor/column_store.h"
 #include "packet/buffer.h"
 #include "monitor/event.h"
@@ -88,8 +89,7 @@ class EventPipeline {
     std::uint64_t segments_downsampled = 0;
     std::uint64_t segments_evicted = 0;
     std::uint64_t restored_rows = 0;
-    std::uint64_t restored_segments = 0;
-    std::uint64_t restore_skipped = 0;  // duplicate rows/segments deduped
+    std::uint64_t restore_skipped = 0;  // duplicate rows deduped
   };
 
   EventPipeline() : EventPipeline(Config{}) {}
@@ -111,20 +111,10 @@ class EventPipeline {
     observer_ = std::move(observer);
   }
 
-  /// Observer invoked once per segment sealed by live ingest, before
-  /// retention may downsample it (the controller's segment-replication tap).
-  /// Restores do not fire it — a restored segment was sealed elsewhere.
-  void set_seal_observer(std::function<void(const Segment&)> observer) {
-    seal_observer_ = std::move(observer);
-  }
-
   // --- queries ---------------------------------------------------------------
 
-  /// Full-fidelity rows currently held (staging + columns + stashed restores).
-  std::size_t size() const {
-    ensure_drained();
-    return columns_.rows() + staging_.size();
-  }
+  /// Full-fidelity rows currently held (staging + columns).
+  std::size_t size() const { return columns_.rows() + staging_.size(); }
   bool empty() const { return size() == 0; }
   const NetworkEvent* by_id(std::uint64_t id) const;
 
@@ -144,26 +134,16 @@ class EventPipeline {
 
   // --- rollups ----------------------------------------------------------------
 
-  const RollupStore& rollups() const {
-    ensure_drained();
-    return rollups_;
-  }
+  const RollupStore& rollups() const { return rollups_; }
   std::string rollup_json(SimTime from, SimTime to, std::size_t top_k = 5) const {
-    ensure_drained();
     return rollups_.to_json(from, to, top_k);
   }
 
   // --- introspection ----------------------------------------------------------
 
-  const Counters& counters() const {
-    ensure_drained();
-    return counters_;
-  }
+  const Counters& counters() const { return counters_; }
   std::uint64_t clamped() const { return counters_.clamped; }
-  std::size_t sealed_segments() const {
-    ensure_drained();
-    return columns_.sealed_segments();
-  }
+  std::size_t sealed_segments() const { return columns_.sealed_segments(); }
   std::size_t summary_count() const { return summaries_.size(); }
   const std::deque<SegmentSummary>& summaries() const { return summaries_; }
   const Config& config() const { return config_; }
@@ -178,74 +158,47 @@ class EventPipeline {
     return deserialize(blob, Config{});
   }
 
-  // --- segment-granular HA export/restore -------------------------------------
-
-  /// Encoded blob per sealed segment, oldest first.
+  /// Encoded blob per sealed segment, oldest first (serialize's segments).
   std::vector<std::vector<std::uint8_t>> export_segment_blobs() const;
   /// Open-segment + staging rows as one row-batch blob (empty vector when
   /// there are none).
   std::vector<std::uint8_t> export_open_rows() const;
 
-  /// Row-batch blob codec (also used for live event replication).
+  // --- HA row batches ---------------------------------------------------------
+
+  /// The full tier as row-batch blobs, oldest first: one per sealed segment,
+  /// then export_open_rows() when there are open rows. Restoring them in
+  /// order rebuilds the same rows on the same segment boundaries.
+  std::vector<std::vector<std::uint8_t>> export_row_batches() const;
+
+  /// Row-batch blob codec (live event replication and export).
   static std::vector<std::uint8_t> encode_rows(std::span<const NetworkEvent> rows);
   static std::optional<std::vector<NetworkEvent>> decode_rows(
       std::span<const std::uint8_t> blob);
 
-  /// O(1) header read over a row-batch blob: row count and max id straight
-  /// from the header, no row walk. Validates magic/version, a minimum
-  /// body size for the claimed count, and id-range sanity; full byte
-  /// accounting (and header-vs-rows id agreement) is enforced by decode_rows
-  /// when the blob is consumed. Nullopt on corrupt input.
-  struct RowsPeek {
-    std::uint32_t count = 0;
-    std::uint64_t id_max = 0;
-  };
-  static std::optional<RowsPeek> peek_rows(std::span<const std::uint8_t> blob);
+  /// O(1) header read over a row-batch blob: the row count straight from
+  /// the header, no row walk (the snapshot store's fold). Validates
+  /// magic/version, a minimum body size for the claimed count, and id-range
+  /// sanity; full byte accounting (and header-vs-rows id agreement) is
+  /// enforced by decode_rows when the blob is consumed. Nullopt on corrupt
+  /// input.
+  static std::optional<std::uint32_t> peek_rows(std::span<const std::uint8_t> blob);
 
-  /// Restores one sealed segment from its blob. Rows with already-seen ids
-  /// are skipped (snapshot/log overlap dedupe). False on corrupt input.
-  bool restore_segment(std::span<const std::uint8_t> blob);
   /// Restores a row batch (ids preserved, duplicates skipped). False on
-  /// corrupt input.
+  /// corrupt input, which leaves the pipeline unchanged.
   bool restore_rows(std::span<const std::uint8_t> blob);
-
-  /// Lazily restores a row batch: the blob is validated (peek_rows) and
-  /// parked undigested; a later sealed-segment stash/restore covering its
-  /// ids discards it wholesale, so a standby never pays per-row ingestion
-  /// for rows a segment will supersede anyway. Survivors are materialized
-  /// (restore_rows) on the first read, live append, or when the stash
-  /// exceeds two segments' worth of rows. False on corrupt input.
-  bool stash_rows(SharedBlob blob);
-
-  /// Lazily restores a sealed segment: the blob's zone header is validated
-  /// and the (refcounted) blob parked undecoded, superseding any stashed row
-  /// batches it covers. Decoding, rollup folds and retention run at the
-  /// first read — a replica that is never read (the steady-state standby)
-  /// pays O(1) per segment. False on corrupt input.
-  bool stash_segment(SharedBlob blob);
 
  private:
   /// Clamp + id assignment + rollup + staging for one live row.
   std::uint64_t ingest(NetworkEvent&& event);
   /// Same, for a restored row that keeps its id.
   void ingest_restored(NetworkEvent&& event);
-  /// Pushes one row into staging_, reserving staging_rows on first use.
+  /// Pushes one row into staging_ (reserving staging_rows on first use) and
+  /// drains at the end of an id run.
   void stage(NetworkEvent&& event);
   void drain_staging();
   void enforce_retention();
   SegmentSummary summarize(const Segment& segment) const;
-
-  /// Materializes deferred restore state: folds clean-tail-restored segments
-  /// into the rollups, then row-restores every stashed blob, in arrival
-  /// order.
-  void drain_stash();
-  /// Lazy-materialization point for the read APIs: the deferred state is an
-  /// internal representation choice, so const queries drain it on demand.
-  void ensure_drained() const {
-    if (!stash_.empty() || !rollup_pending_.empty()) {
-      const_cast<EventPipeline*>(this)->drain_stash();
-    }
-  }
 
   Config config_;
   std::uint64_t next_id_ = 1;
@@ -259,24 +212,6 @@ class EventPipeline {
   std::deque<SegmentSummary> summaries_;
   RollupStore rollups_;
   std::function<void(const NetworkEvent&)> observer_;
-  std::function<void(const Segment&)> seal_observer_;
-  /// True while a restore is draining rows: seals it causes are replays of
-  /// segments sealed elsewhere, so the seal observer stays quiet.
-  bool restoring_ = false;
-
-  /// Undigested blobs from stash_rows/stash_segment, in arrival order.
-  struct StashEntry {
-    bool segment = false;
-    std::uint64_t id_max = 0;
-    std::uint32_t rows = 0;  // row count (batches only; 0 for segments)
-    SharedBlob blob;
-  };
-  std::deque<StashEntry> stash_;
-  std::size_t stash_rows_count_ = 0;
-  std::size_t stash_segment_count_ = 0;
-  /// zone().id_min of sealed segments restored via the clean-tail fast path
-  /// whose rows have not been folded into the rollups yet, oldest first.
-  std::deque<std::uint64_t> rollup_pending_;
 };
 
 }  // namespace livesec::mon

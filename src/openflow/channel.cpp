@@ -65,24 +65,10 @@ void SecureChannel::send_to_controller(Message message) {
   });
 }
 
-void SecureChannel::send_frame_to_switch(std::span<const std::uint8_t> frame) {
-  if (!connected_) return;
-  auto decoded = decode_message(frame);
-  if (!decoded) {
-    ++wire_failures_[kToSwitch];
-    return;
-  }
-  deliver_to_switch(std::move(decoded->message));
-}
-
 void SecureChannel::send_to_switch(Message message) {
   if (!connected_) return;
   auto carried = transport(std::move(message), kToSwitch);
   if (!carried) return;
-  deliver_to_switch(std::move(*carried));
-}
-
-void SecureChannel::deliver_to_switch(Message message) {
   if (blackhole_) {
     ++blackholed_[kToSwitch];
     return;
@@ -93,7 +79,7 @@ void SecureChannel::deliver_to_switch(Message message) {
   }
   ++to_switch_;
   ++in_flight_[kToSwitch];
-  sim_->schedule(latency_, [this, m = std::move(message)]() {
+  sim_->schedule(latency_, [this, m = std::move(*carried)]() {
     --in_flight_[kToSwitch];
     switch_->handle_controller_message(m);
   });

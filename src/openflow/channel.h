@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 
 #include "common/types.h"
 #include "openflow/messages.h"
@@ -90,12 +89,6 @@ class SecureChannel {
   void send_to_controller(Message message);
   /// Controller -> switch, delivered after the channel latency.
   void send_to_switch(Message message);
-  /// Controller -> switch, from an already-encoded wire frame (a
-  /// preserialized flow-mod template with per-flow fields patched in). The
-  /// frame decodes once here — the per-send encode of the wire_encoding
-  /// round trip is skipped entirely. Malformed frames are dropped and
-  /// counted like any other codec failure.
-  void send_frame_to_switch(std::span<const std::uint8_t> frame);
 
   SimTime latency() const { return latency_; }
   std::uint64_t messages_to_controller() const { return to_controller_; }
@@ -109,8 +102,6 @@ class SecureChannel {
   /// Applies the wire codec round trip when enabled; nullopt = drop. Takes
   /// ownership so the no-codec path forwards without copying the variant.
   std::optional<Message> transport(Message&& message, Direction dir);
-  /// Schedules a controller->switch delivery after the latency.
-  void deliver_to_switch(Message message);
 
   SwitchEndpoint* switch_;
   ControllerEndpoint* controller_;

@@ -187,17 +187,8 @@ std::optional<ActionList> decode_actions(pkt::BufferReader& r) {
 }
 
 std::vector<std::uint8_t> encode_message(const Message& message, std::uint32_t xid) {
-  return encode_message(message, xid, nullptr);
-}
-
-std::vector<std::uint8_t> encode_message(const Message& message, std::uint32_t xid,
-                                         std::vector<std::size_t>* flow_mod_offsets) {
   pkt::BufferWriter body;
   WireType type;
-  // Body offsets become frame offsets once the fixed-size header prepends.
-  const auto note_mod = [&]() {
-    if (flow_mod_offsets != nullptr) flow_mod_offsets->push_back(kHeaderSize + body.size());
-  };
 
   if (const auto* pin = std::get_if<PacketIn>(&message)) {
     type = WireType::kPacketIn;
@@ -213,13 +204,11 @@ std::vector<std::uint8_t> encode_message(const Message& message, std::uint32_t x
     encode_packet_field(body, pout->packet);
   } else if (const auto* mod = std::get_if<FlowMod>(&message)) {
     type = WireType::kFlowMod;
-    note_mod();
     encode_flow_mod_body(body, *mod);
   } else if (const auto* batch = std::get_if<FlowModBatch>(&message)) {
     type = WireType::kFlowModBatch;
     body.u16(static_cast<std::uint16_t>(batch->mods.size()));
     for (const FlowMod& m : batch->mods) {
-      note_mod();
       encode_flow_mod_body(body, m);
     }
   } else if (const auto* removed = std::get_if<FlowRemoved>(&message)) {

@@ -35,24 +35,6 @@ inline constexpr std::uint8_t kWireVersion = 0x01;  // OpenFlow 1.0
 ///   version(1) type(1) length(2) xid(4) body...
 std::vector<std::uint8_t> encode_message(const Message& message, std::uint32_t xid = 0);
 
-/// Fixed offsets (relative to a FlowMod body start) of the fields the flow
-/// fast path patches when replaying a preserialized template: the fields sit
-/// at constant positions because everything before them is fixed-size.
-struct FlowModPatchOffsets {
-  static constexpr std::size_t kBufferId = 2;        // u32
-  static constexpr std::size_t kMatchTpSrc = 39;     // u16 (body+6 match, +33)
-  static constexpr std::size_t kMatchTpDst = 41;     // u16
-  static constexpr std::size_t kCookie = 61;         // u64
-};
-
-/// encode_message variant that additionally records where each FlowMod body
-/// begins inside the returned frame (one entry per mod: a lone kFlowMod
-/// yields one offset, a kFlowModBatch one per batched mod, anything else
-/// none). Combined with FlowModPatchOffsets this lets a template frame be
-/// serialized once and replayed per flow with only byte patches.
-std::vector<std::uint8_t> encode_message(const Message& message, std::uint32_t xid,
-                                         std::vector<std::size_t>* flow_mod_offsets);
-
 /// Decoded frame: the message plus its transaction id.
 struct DecodedFrame {
   Message message;

@@ -1,7 +1,7 @@
 // Event codec versioning: segment blobs (v2), row batches (v3) and the
 // whole-store blob (v2) carry typed rows. Blobs written by the previous,
 // string-based codecs must be rejected cleanly by every reader — the
-// decoders, the lazy standby stash and the HA delivery path — never
+// decoders, whole-store load, row restore and the HA delivery path — never
 // misread as typed rows.
 #include <gtest/gtest.h>
 
@@ -113,14 +113,30 @@ TEST(EventCodecVersion, CurrentBlobsCarryTheTypedVersions) {
   EXPECT_TRUE(mon::EventPipeline::decode_rows(pipeline.export_open_rows()).has_value());
 }
 
+/// An empty pipeline's whole-store blob with `segment` spliced in as its one
+/// sealed segment (the segment count sits after magic, version, next id,
+/// last time, clamped count and the empty summary tier).
+std::vector<std::uint8_t> store_with_segment(const std::vector<std::uint8_t>& segment) {
+  constexpr std::size_t kSegmentCountAt = 4 + 1 + 8 + 8 + 8 + 4;
+  const std::vector<std::uint8_t> empty = mon::EventPipeline().serialize();
+  pkt::BufferWriter w;
+  w.bytes(std::span(empty.data(), kSegmentCountAt));
+  w.u32(1);
+  w.u32(static_cast<std::uint32_t>(segment.size()));
+  w.bytes(segment);
+  w.bytes(std::span(empty.data() + kSegmentCountAt + 4, empty.size() - kSegmentCountAt - 4));
+  return w.take();
+}
+
 TEST(EventCodecVersion, OldSegmentBlobIsRejected) {
   const auto blob = v1_segment_blob();
   EXPECT_FALSE(mon::Segment::decode_blob(blob).has_value());
-  EXPECT_FALSE(mon::Segment::decode_blob_zone(blob).has_value());
-  mon::EventPipeline pipeline;
-  EXPECT_FALSE(pipeline.restore_segment(blob));
-  EXPECT_FALSE(pipeline.stash_segment(SharedBlob(blob)));
-  EXPECT_EQ(pipeline.size(), 0u);
+  // Segments reach a pipeline only inside a whole-store blob; a current
+  // segment spliced in loads, the v1 one does not.
+  EXPECT_TRUE(mon::EventPipeline::deserialize(
+                  store_with_segment(typed_pipeline().export_segment_blobs().front()))
+                  .has_value());
+  EXPECT_FALSE(mon::EventPipeline::deserialize(store_with_segment(blob)).has_value());
   // The same bytes relabelled as the current version are not typed rows
   // either: the v1 body fails the v2 structural checks.
   auto relabelled = blob;
@@ -134,7 +150,6 @@ TEST(EventCodecVersion, OldRowBatchIsRejected) {
   EXPECT_FALSE(mon::EventPipeline::decode_rows(blob).has_value());
   mon::EventPipeline pipeline;
   EXPECT_FALSE(pipeline.restore_rows(blob));
-  EXPECT_FALSE(pipeline.stash_rows(SharedBlob(blob)));
   EXPECT_EQ(pipeline.size(), 0u);
   auto relabelled = blob;
   relabelled[4] = 3;
@@ -167,8 +182,12 @@ TEST(EventCodecVersion, HaDeliveryCountsOldBlobsAsDecodeFailures) {
   network.run_for(500 * kMillisecond);
   const std::uint64_t failures_before = cluster->stats().decode_failures;
 
+  // A v2 batch, and the same bytes relabelled v3 (untyped rows fail the v3
+  // row checks).
+  auto relabelled = v2_row_batch();
+  relabelled[4] = 3;
   cluster->replicate(ha::EventBatchRecord{v2_row_batch()});
-  cluster->replicate(ha::EventSegmentRecord{v1_segment_blob()});
+  cluster->replicate(ha::EventBatchRecord{relabelled});
   network.run_for(500 * kMillisecond);
 
   EXPECT_EQ(cluster->stats().decode_failures, failures_before + 2);

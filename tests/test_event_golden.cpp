@@ -519,7 +519,7 @@ TEST(EventGolden, WebUiEventAndRollupJson) {
 }
 
 // The same renderings after each codec round trip: whole-store persistence,
-// segment-granular HA export/restore and a row batch.
+// the HA row-batch export/restore and a row batch.
 TEST(EventGolden, CodecRoundTripsRenderIdentically) {
   const EventPipeline pipeline = golden_pipeline();
   const auto restored = EventPipeline::deserialize(pipeline.serialize(), pipeline.config());
@@ -528,10 +528,9 @@ TEST(EventGolden, CodecRoundTripsRenderIdentically) {
   EXPECT_EQ(restored->rollup_json(0, kAll, 12), kRollupJson);
 
   EventPipeline replica(pipeline.config());
-  for (const auto& blob : pipeline.export_segment_blobs()) {
-    ASSERT_TRUE(replica.restore_segment(blob));
+  for (const auto& blob : pipeline.export_row_batches()) {
+    ASSERT_TRUE(replica.restore_rows(blob));
   }
-  ASSERT_TRUE(replica.restore_rows(pipeline.export_open_rows()));
   EXPECT_EQ(render_event_lines(replica), kEventLines);
   EXPECT_EQ(replica.rollup_json(0, kAll, 12), kRollupJson);
 

@@ -1,6 +1,6 @@
 // Tests for the event-storm monitoring pipeline (DESIGN.md §12): columnar
 // segments with zone maps, streaming rollups, retention tiers, and the
-// segment-granular HA export/restore path. The pipeline must stay
+// row-batch HA export/restore path. The pipeline must stay
 // query-equivalent to a naive row-at-a-time filter on any event stream.
 #include <gtest/gtest.h>
 
@@ -342,6 +342,46 @@ TEST(ColumnStore, SealsAtSegmentRowsAndKeepsAllRows) {
   EXPECT_EQ(visited, 1000u);
 }
 
+// Segment boundaries follow ids, not row counts: rows that start mid-block
+// (a replica bootstrapped from retained row batches) seal one short segment
+// at the block end and then the same segments as a store that saw every id.
+TEST(ColumnStore, SealsAtIdBlockEndsWhenRowsStartMidBlock) {
+  const auto row = [](std::uint64_t id) {
+    NetworkEvent e = make_event(static_cast<SimTime>(id), EventType::kFlowStart);
+    e.id = id;
+    return e;
+  };
+  ColumnStore store(/*segment_rows=*/8);
+  for (std::uint64_t id = 5; id <= 20; ++id) store.append(row(id));
+  ASSERT_EQ(store.sealed_segments(), 2u);
+  EXPECT_EQ(store.sealed()[0].zone().id_min, 5u);
+  EXPECT_EQ(store.sealed()[0].zone().id_max, 8u);
+  EXPECT_EQ(store.sealed()[1].zone().id_min, 9u);
+  EXPECT_EQ(store.sealed()[1].zone().id_max, 16u);
+  EXPECT_EQ(store.open_segment().zone().id_min, 17u);
+  EXPECT_EQ(store.rows(), 16u);
+
+  // A gap across a block boundary closes the open segment before the row.
+  ColumnStore gapped(/*segment_rows=*/8);
+  for (std::uint64_t id : {1ULL, 2ULL, 3ULL, 11ULL, 12ULL}) gapped.append(row(id));
+  ASSERT_EQ(gapped.sealed_segments(), 1u);
+  EXPECT_EQ(gapped.sealed()[0].zone().id_max, 3u);
+  EXPECT_EQ(gapped.open_segment().zone().id_min, 11u);
+
+  // The same through a pipeline restoring a batch that starts mid-block.
+  EventPipeline::Config config;
+  config.segment_rows = 8;
+  config.staging_rows = 4;
+  std::vector<NetworkEvent> rows;
+  for (std::uint64_t id = 5; id <= 20; ++id) rows.push_back(row(id));
+  EventPipeline replica(config);
+  ASSERT_TRUE(replica.restore_rows(EventPipeline::encode_rows(rows)));
+  const auto segments = replica.export_segment_blobs();
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(Segment::decode_blob(segments[0])->zone().id_max, 8u);
+  EXPECT_EQ(Segment::decode_blob(segments[1])->zone().id_max, 16u);
+}
+
 TEST(ColumnStore, FindIdAcrossSegments) {
   ColumnStore store(/*segment_rows=*/32);
   for (std::uint64_t i = 1; i <= 200; ++i) {
@@ -673,29 +713,27 @@ TEST(EventPipeline, RowBatchCodecRoundTripsAndRejectsCorruption) {
   }
 }
 
-TEST(EventPipeline, SegmentRestoreRebuildsStandbyReplayWindow) {
+TEST(EventPipeline, RowBatchRestoreRebuildsStandbyReplayWindow) {
   EventPipeline::Config config;
   config.segment_rows = 128;
   config.staging_rows = 32;
   EventPipeline active(config);
   for (auto& e : synthetic_stream(1000)) active.append(std::move(e));
 
+  const auto batches = active.export_row_batches();
+  ASSERT_EQ(batches.size(), active.sealed_segments() + 1);  // 1000 % 128 rows open
   EventPipeline standby(config);
-  for (const auto& blob : active.export_segment_blobs()) {
-    ASSERT_TRUE(standby.restore_segment(blob));
-  }
-  const auto open = active.export_open_rows();
-  if (!open.empty()) {
-    ASSERT_TRUE(standby.restore_rows(open));
-  }
+  for (const auto& blob : batches) ASSERT_TRUE(standby.restore_rows(blob));
 
   ASSERT_EQ(standby.size(), active.size());
   EXPECT_EQ(standby.to_json(0, 1'000'000), active.to_json(0, 1'000'000));
   EXPECT_EQ(standby.rollup_json(0, 1'000'000), active.rollup_json(0, 1'000'000));
+  // The standby seals its own segments, on the active's boundaries.
+  EXPECT_EQ(standby.export_segment_blobs(), active.export_segment_blobs());
+  EXPECT_EQ(standby.export_row_batches(), batches);
   // Restores are idempotent: replaying the same blobs dedupes on id.
   const auto size_before = standby.size();
-  for (const auto& blob : active.export_segment_blobs()) standby.restore_segment(blob);
-  if (!open.empty()) standby.restore_rows(open);
+  for (const auto& blob : batches) standby.restore_rows(blob);
   EXPECT_EQ(standby.size(), size_before);
   EXPECT_GT(standby.counters().restore_skipped, 0u);
   // After catching up, the standby allocates past the active's ids.
@@ -705,7 +743,6 @@ TEST(EventPipeline, SegmentRestoreRebuildsStandbyReplayWindow) {
 
 TEST(EventPipeline, RestoreRejectsCorruptBlobs) {
   EventPipeline pipeline;
-  EXPECT_FALSE(pipeline.restore_segment(std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_FALSE(pipeline.restore_rows(std::vector<std::uint8_t>{1, 2, 3}));
   EXPECT_EQ(pipeline.size(), 0u);
 }

@@ -76,7 +76,6 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
       ha::VerdictLearnedRecord{digest, 2, 101, 9, 262144},
       ha::VerdictCacheEpochRecord{12},
       ha::EventBatchRecord{{0xDE, 0xAD, 0xBE, 0xEF}},
-      ha::EventSegmentRecord{{0x4C, 0x53, 0x45, 0x47, 0x00}},
   };
   ASSERT_EQ(bodies.size(), std::variant_size_v<ha::RecordBody>);
 
@@ -111,9 +110,6 @@ TEST(Replication, RecordCodecRoundTripsEveryType) {
   const auto batch_rt = round_trip(9, ha::EventBatchRecord{blob});
   ASSERT_TRUE(batch_rt.has_value());
   EXPECT_EQ(std::get<ha::EventBatchRecord>(*batch_rt).blob, blob);
-  const auto seg_rt = round_trip(10, ha::EventSegmentRecord{blob});
-  ASSERT_TRUE(seg_rt.has_value());
-  EXPECT_EQ(std::get<ha::EventSegmentRecord>(*seg_rt).blob, blob);
 
   const auto sw_rt = round_trip(2, ha::SwitchUpRecord{6, 12, "ovs-floor-3"});
   ASSERT_TRUE(sw_rt.has_value());

@@ -75,7 +75,6 @@ std::vector<ha::RecordBody> every_record_type() {
       ha::VerdictLearnedRecord{digest, 2, 101, 9, 262144},
       ha::VerdictCacheEpochRecord{12},
       ha::EventBatchRecord{{0xDE, 0xAD, 0xBE, 0xEF}},
-      ha::EventSegmentRecord{{0x4C, 0x53, 0x45, 0x47, 0x00}},
   };
 }
 
@@ -429,54 +428,80 @@ TEST(SnapshotStore, VerdictEpochRaiseDropsFoldedVerdicts) {
   EXPECT_TRUE(saw_epoch);
 }
 
-TEST(SnapshotStore, SegmentsCompactCoveredEventBatches) {
-  mon::EventPipeline::Config config;
-  config.segment_rows = 8;
-  config.staging_rows = 2;
-  mon::EventPipeline events(config);
-  for (int i = 0; i < 20; ++i) {
+/// Every row `events` ingests live (ids and times assigned), in order.
+std::vector<mon::NetworkEvent> append_events(mon::EventPipeline& events, int count) {
+  std::vector<mon::NetworkEvent> rows;
+  events.set_ingest_observer([&rows](const mon::NetworkEvent& e) { rows.push_back(e); });
+  for (int i = 0; i < count; ++i) {
     mon::NetworkEvent ev;
     ev.time = i * kMillisecond;
     ev.type = mon::EventType::kHostJoin;
     ev.set_subject("host" + std::to_string(i % 4));
     events.append(std::move(ev));
   }
-  const auto rows = events.query_range(0, 100 * kSecond);
-  ASSERT_EQ(rows.size(), 20u);
-  const auto segment_blobs = events.export_segment_blobs();
-  ASSERT_EQ(segment_blobs.size(), 2u);  // rows 1-8 and 9-16 sealed
+  events.set_ingest_observer(nullptr);
+  return rows;
+}
 
-  ha::SnapshotStore store;
-  // Live batches arrive first (rows 1..16 in runs of 4), then the sealed
-  // segments that cover them: the batches must compact away.
-  for (std::size_t i = 0; i < 16; i += 4) {
+// The store keeps the newest batches that hold the bound, and an importer of
+// what it keeps rebuilds the active pipeline's full tier exactly, although
+// its rows start mid-segment and mid staging run (ids 64..96: the importer
+// must stage and seal id 96 as the active did).
+TEST(SnapshotStore, EventBatchesTrimToTheBound) {
+  mon::EventPipeline::Config config;
+  config.segment_rows = 8;
+  config.staging_rows = 4;
+  config.full_segments = 2;
+  const std::size_t bound = ha::SnapshotStore::event_rows_for(config);
+  ASSERT_EQ(bound, 32u);  // (2 + 2) * 8
+  mon::EventPipeline active(config);
+  const auto rows = append_events(active, 96);
+
+  ha::SnapshotStore store(bound);
+  for (std::size_t i = 0; i < rows.size(); i += 3) {  // batches of 3 rows
     store.fold(ha::EventBatchRecord{
-        mon::EventPipeline::encode_rows(std::span(rows.data() + i, 4))});
+        mon::EventPipeline::encode_rows(std::span(rows.data() + i, 3))});
   }
-  EXPECT_EQ(store.event_batch_count(), 4u);
-  for (const auto& blob : segment_blobs) store.fold(ha::EventSegmentRecord{blob});
-  EXPECT_EQ(store.event_segment_count(), 2u);
-  EXPECT_EQ(store.event_batch_count(), 0u);
-  EXPECT_EQ(store.stats().batches_compacted, 4u);
-  // The open tail (rows 17..20) stays as a batch.
-  store.fold(ha::EventBatchRecord{
-      mon::EventPipeline::encode_rows(std::span(rows.data() + 16, 4))});
-  EXPECT_EQ(store.event_batch_count(), 1u);
-  // A batch already covered by the segments is dropped on arrival.
-  store.fold(ha::EventBatchRecord{
-      mon::EventPipeline::encode_rows(std::span(rows.data(), 4))});
-  EXPECT_EQ(store.event_batch_count(), 1u);
+  // 33 rows held: dropping one more batch would leave fewer than the bound.
+  EXPECT_EQ(store.event_batch_count(), 11u);
+  EXPECT_EQ(store.stats().batches_compacted, 21u);
 
-  // Importing the folded export rebuilds the full row set.
+  mon::EventPipeline importer(config);
+  for (const ha::RecordBody& body : store.export_records()) {
+    ASSERT_TRUE(importer.restore_rows(std::get<ha::EventBatchRecord>(body).blob));
+  }
+  EXPECT_EQ(importer.counters().restored_rows, 33u);
+  EXPECT_EQ(importer.export_row_batches(), active.export_row_batches());
+  EXPECT_EQ(importer.to_json(0, kSecond), active.to_json(0, kSecond));
+
+  // Corrupt blobs are counted, never folded.
+  store.fold(ha::EventBatchRecord{{0x00, 0x01, 0x02}});
+  EXPECT_EQ(store.stats().fold_failures, 1u);
+  EXPECT_EQ(store.event_batch_count(), 11u);
+}
+
+// An unbounded pipeline keeps every row, so the store keeps every batch.
+TEST(SnapshotStore, UnboundedPipelineKeepsEveryEventBatch) {
+  const mon::EventPipeline::Config config;
+  ASSERT_EQ(config.full_segments, 0u);
+  ASSERT_EQ(ha::SnapshotStore::event_rows_for(config), 0u);
+  mon::EventPipeline active(config);
+  const auto rows = append_events(active, 100);
+
+  ha::SnapshotStore store(ha::SnapshotStore::event_rows_for(config));
+  for (std::size_t i = 0; i < rows.size(); i += 5) {
+    store.fold(ha::EventBatchRecord{
+        mon::EventPipeline::encode_rows(std::span(rows.data() + i, 5))});
+  }
+  EXPECT_EQ(store.event_batch_count(), 20u);
+  EXPECT_EQ(store.stats().batches_compacted, 0u);
+
   sim::Simulator sim;
   ctrl::Controller imported(sim);
   imported.import_snapshot(store.export_records());
-  EXPECT_EQ(imported.events().size(), 20u);
+  EXPECT_EQ(imported.events().size(), 100u);
   ASSERT_NE(imported.events().by_id(rows[0].id), nullptr);
   EXPECT_EQ(imported.events().by_id(rows[0].id)->subject_string(), "host0");
-  // Corrupt blobs are counted, never folded.
-  store.fold(ha::EventSegmentRecord{{0x00, 0x01, 0x02}});
-  EXPECT_EQ(store.stats().fold_failures, 1u);
 }
 
 // --- cluster integration -----------------------------------------------------------
@@ -631,6 +656,63 @@ TEST(HaCluster, StandbyExportByteIdenticalUnderCoalescing) {
   const auto standby_export =
       ha::encode_snapshot_records(cluster->node_controller(1).export_state());
   EXPECT_EQ(active_export, standby_export);
+}
+
+// A standby bootstrapped from the snapshot store while the active holds far
+// more events than the store's bound exports the active's state byte for
+// byte: the retained batches start mid-segment, and the importer's segments
+// still land on the active's boundaries.
+TEST(HaCluster, BootstrappedStandbyExportsTheActivesEventTier) {
+  ctrl::Controller::Config controller_config;
+  controller_config.event_store_capacity = 64;  // 4 full segments of 16 rows
+  controller_config.event_replication_batch = 7;  // batches straddle segments
+  controller_config.housekeeping_interval = 200 * kMillisecond;
+  ha::FaultPlan plan;
+  plan.replication_drop_probability = 1.0;  // the log is the only source
+  ha::HaCluster::Config config;
+  config.resync_interval = 180 * kMillisecond;
+  config.snapshot_interval = kSecond;  // the lag cap strands the standby
+  config.snapshot_import_chunk = 16;
+
+  Network network{controller_config};
+  network.enable_ha(1, config, plan);
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs1 = network.add_as_switch("ovs1", backbone);
+  network.add_host("alice", ovs1);
+  network.start();
+  network.run_for(750 * kMillisecond);  // t = 950 ms
+
+  // Unapplied at the 1 s snapshot tick: strands the standby, and the
+  // 1080 ms resync starts an import of the store's retained batches.
+  ctrl::Controller& active = network.controller();
+  for (int i = 0; i < 1000; ++i) {
+    mon::NetworkEvent ev;
+    ev.time = network.sim().now();
+    ev.type = mon::EventType::kFlowStart;
+    ev.set_subject(mon::Subject::mac(MacAddress::from_uint64(0x020000000000ull + i % 50)));
+    active.events().append(std::move(ev));
+  }
+  network.run_for(kSecond);
+
+  ha::HaCluster* cluster = network.ha_cluster();
+  ctrl::Controller& standby = cluster->node_controller(1);
+  const std::uint64_t last_id = active.events().counters().appended;
+  bool quiesced = false;
+  for (int slice = 0; slice < 200 && !quiesced; ++slice) {
+    cluster->flush_replication();
+    network.run_for(10 * kMillisecond);
+    quiesced = cluster->pipeline().empty() && !cluster->importing(1) &&
+               cluster->applied_seq(1) == cluster->log().head_seq() &&
+               standby.events().by_id(last_id) != nullptr;
+  }
+  ASSERT_TRUE(quiesced);
+  EXPECT_GT(cluster->stats().snapshots_imported, 0u);
+  EXPECT_GT(cluster->snapshot_store().stats().batches_compacted, 0u);
+  // The standby never held the oldest rows, yet holds the active's tier.
+  EXPECT_LT(standby.events().counters().restored_rows, last_id);
+  EXPECT_EQ(standby.events().size(), active.events().size());
+  EXPECT_EQ(ha::encode_snapshot_records(active.export_state()),
+            ha::encode_snapshot_records(standby.export_state()));
 }
 
 // The resync tick truncates the log at the standby's applied position, so

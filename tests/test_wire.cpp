@@ -127,43 +127,6 @@ TEST(Wire, FlowModBatchRoundTrip) {
   }
 }
 
-// The preserialized-replay contract: FlowModPatchOffsets must address the
-// encoded buffer_id/cookie/match-port fields of every mod in a batch frame,
-// so a template can be encoded once and byte-patched per flow.
-TEST(Wire, FlowModPatchOffsetsEditEncodedFields) {
-  FlowModBatch batch;
-  for (int i = 0; i < 2; ++i) {
-    FlowMod mod;
-    mod.command = FlowModCommand::kAdd;
-    mod.buffer_id = PacketOut::kNoBuffer;
-    mod.entry.match = Match::exact(1, sample_key());
-    mod.entry.actions = {ActionOutput{2}};
-    batch.mods.push_back(std::move(mod));
-  }
-
-  std::vector<std::size_t> offsets;
-  auto frame = encode_message(Message{batch}, 7, &offsets);
-  ASSERT_EQ(offsets.size(), 2u);
-
-  const std::span<std::uint8_t> bytes(frame);
-  pkt::patch_u32(bytes, offsets[0] + FlowModPatchOffsets::kBufferId, 424242);
-  pkt::patch_u64(bytes, offsets[0] + FlowModPatchOffsets::kCookie, 0xFEEDBEEFull);
-  pkt::patch_u16(bytes, offsets[0] + FlowModPatchOffsets::kMatchTpSrc, 54321);
-  pkt::patch_u16(bytes, offsets[1] + FlowModPatchOffsets::kMatchTpDst, 8443);
-
-  const auto decoded = decode_message(frame);
-  ASSERT_TRUE(decoded.has_value());
-  const auto& got = std::get<FlowModBatch>(decoded->message);
-  ASSERT_EQ(got.mods.size(), 2u);
-  EXPECT_EQ(got.mods[0].buffer_id, 424242u);
-  EXPECT_EQ(got.mods[0].entry.cookie, 0xFEEDBEEFull);
-  EXPECT_EQ(got.mods[0].entry.match.flow_key().tp_src, 54321);
-  EXPECT_EQ(got.mods[1].entry.match.flow_key().tp_dst, 8443);
-  // The untouched fields of mod[1] survive the patches to mod[0].
-  EXPECT_EQ(got.mods[1].buffer_id, PacketOut::kNoBuffer);
-  EXPECT_EQ(got.mods[1].entry.match.flow_key().tp_src, sample_key().tp_src);
-}
-
 TEST(Wire, PacketInCarriesFullPacket) {
   PacketIn pin;
   pin.buffer_id = 7;
