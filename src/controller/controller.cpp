@@ -164,12 +164,7 @@ void Controller::handle_switch_connected(DatapathId dpid, const of::FeaturesRepl
   drop_pending_for_switch(dpid);
   replicate(ha::SwitchUpRecord{dpid, features.num_ports, features.name});
 
-  topo::TopologyGraph::SwitchInfo info;
-  info.dpid = dpid;
-  info.name = features.name;
-  info.kind = state.kind;
-  info.joined_at = sim_->now();
-  topology_.add_switch(info);
+  topology_.add_switch({dpid, features.name, state.kind, sim_->now()});
 
   raise(mon::EventType::kSwitchJoin, features.name, "dpid=" + std::to_string(dpid), dpid);
   send_lldp_probes(dpid);
@@ -286,15 +281,8 @@ void Controller::handle_lldp(DatapathId dpid, PortId in_port, const pkt::Packet&
   // Legacy-Switching uplink, and the emitting port is the peer's. A switch
   // re-cabled to a different uplink port must overwrite the stale record, or
   // two-hop routing keeps steering into the dead port.
-  const auto learn_uplink = [this](DatapathId sw, PortId port) {
-    auto [it, inserted] = ls_ports_.try_emplace(sw, port);
-    if (!inserted && it->second == port) return;
-    it->second = port;
-    ++epoch_;  // cached templates steer through the old uplink
-    replicate(ha::LsPortRecord{sw, port});
-  };
-  learn_uplink(dpid, in_port);
-  learn_uplink(info->chassis_id, info->port_id);
+  register_ls_port(dpid, in_port);
+  register_ls_port(info->chassis_id, info->port_id);
   // New uplink knowledge may be exactly what parked setups were waiting for.
   if (!pending_setups_.empty()) retry_all_pending();
 
@@ -372,26 +360,18 @@ void Controller::handle_daemon(DatapathId dpid, PortId in_port, const pkt::Packe
     const SeRecord* existing = registry_.find(message->se_id);
     const bool migrated =
         existing != nullptr && (existing->dpid != dpid || existing->port != in_port);
+    const Ipv4Address se_ip = packet.ipv4 ? packet.ipv4->src : Ipv4Address();
 
-    const bool fresh =
-        registry_.handle_online(message->se_id, packet.eth.src,
-                                packet.ipv4 ? packet.ipv4->src : Ipv4Address(), dpid, in_port,
-                                *online, sim_->now());
+    const bool fresh = registry_.handle_online(message->se_id, packet.eth.src, se_ip, dpid,
+                                               in_port, *online, sim_->now());
     if (migrated) {
       // Stale paths still steer to the old attachment point: tear them down
       // (they re-setup through the new location on the next packet), and
       // re-teach the fabric where the SE now lives.
       const std::size_t torn = teardown_flows_through_se(message->se_id);
       primed_.erase(packet.eth.src);
-      prime_fabric_location(packet.eth.src, packet.ipv4 ? packet.ipv4->src : Ipv4Address(), dpid);
-      topo::TopologyGraph::AttachedNode node;
-      node.name = "se" + std::to_string(message->se_id) + ":" +
-                  svc::service_type_name(online->service);
-      node.kind = topo::NodeKind::kServiceElement;
-      node.dpid = dpid;
-      node.port = in_port;
-      node.joined_at = sim_->now();
-      topology_.upsert_node("se" + std::to_string(message->se_id), node);
+      prime_fabric_location(packet.eth.src, se_ip, dpid);
+      upsert_se_node(message->se_id, online->service, dpid, in_port, sim_->now());
       raise(mon::EventType::kSeMigrated, mon::Subject::se(message->se_id),
             "now at dpid=" + std::to_string(dpid) + ", " + std::to_string(torn) +
                 " flows re-routed",
@@ -399,25 +379,14 @@ void Controller::handle_daemon(DatapathId dpid, PortId in_port, const pkt::Packe
       // The migrated VM may have restarted with a different signature set.
       bump_verdict_cache_epoch("se_migrated");
     }
-    routing_.learn(packet.eth.src, packet.ipv4 ? packet.ipv4->src : Ipv4Address(), dpid, in_port,
-                   sim_->now());
-    replicate(ha::SeUpsertRecord{message->se_id, packet.eth.src,
-                                 packet.ipv4 ? packet.ipv4->src : Ipv4Address(), online->service,
-                                 dpid, in_port, sim_->now()});
-    replicate(ha::HostLearnedRecord{packet.eth.src,
-                                    packet.ipv4 ? packet.ipv4->src : Ipv4Address(), dpid, in_port,
-                                    sim_->now()});
-    prime_fabric_location(packet.eth.src, packet.ipv4 ? packet.ipv4->src : Ipv4Address(), dpid);
+    routing_.learn(packet.eth.src, se_ip, dpid, in_port, sim_->now());
+    replicate(ha::SeUpsertRecord{message->se_id, packet.eth.src, se_ip, online->service, dpid,
+                                 in_port, sim_->now()});
+    replicate(ha::HostLearnedRecord{packet.eth.src, se_ip, dpid, in_port, sim_->now()});
+    prime_fabric_location(packet.eth.src, se_ip, dpid);
     if (!pending_setups_.empty()) retry_pending_for_host(packet.eth.src);
     if (fresh) {
-      topo::TopologyGraph::AttachedNode node;
-      node.name = "se" + std::to_string(message->se_id) + ":" +
-                  svc::service_type_name(online->service);
-      node.kind = topo::NodeKind::kServiceElement;
-      node.dpid = dpid;
-      node.port = in_port;
-      node.joined_at = sim_->now();
-      topology_.upsert_node("se" + std::to_string(message->se_id), node);
+      upsert_se_node(message->se_id, online->service, dpid, in_port, sim_->now());
       raise(mon::EventType::kSeOnline, mon::Subject::se(message->se_id),
             svc::service_type_name(online->service), dpid, message->se_id);
       // SE pool change: a new engine generation may judge old content
@@ -547,17 +516,14 @@ void Controller::handle_daemon_verdict(const SeRecord& se, const svc::VerdictMes
     case svc::FlowVerdict::kBenign: {
       if (!config_.enable_flow_offload || record == nullptr) break;
       if (record->blocked || record->se_ids.empty()) break;
-      auto& benign = record->benign_se_ids;
-      if (std::find(benign.begin(), benign.end(), se.se_id) == benign.end()) {
-        benign.push_back(se.se_id);
+      const std::size_t chain = record->se_ids.size();
+      for (std::size_t i = 0; i < chain; ++i) {
+        if (record->se_ids[i] == se.se_id) record->benign_mask |= std::uint32_t{1} << i;
       }
       // Cut through only once every SE of the chain has cleared the flow —
       // one engine's benign says nothing about what the next would find.
-      const bool all_clear =
-          std::all_of(record->se_ids.begin(), record->se_ids.end(), [&](std::uint64_t id) {
-            return std::find(benign.begin(), benign.end(), id) != benign.end();
-          });
-      if (all_clear) offload_flow(*record, se, verdict.inspected_bytes);
+      const auto all_clear = static_cast<std::uint32_t>((std::uint64_t{1} << chain) - 1);
+      if (record->benign_mask == all_clear) offload_flow(*record, se, verdict.inspected_bytes);
       break;
     }
     case svc::FlowVerdict::kKeepInspecting:
@@ -594,26 +560,14 @@ void Controller::handle_arp(DatapathId dpid, const of::PacketIn& pin) {
     const std::size_t torn = teardown_flows_of_host(arp.sender_mac);
     primed_.erase(arp.sender_mac);
     prime_fabric_location(arp.sender_mac, arp.sender_ip, dpid);
-    topo::TopologyGraph::AttachedNode node;
-    node.name = arp.sender_ip.to_string();
-    node.kind = topo::NodeKind::kHost;
-    node.dpid = dpid;
-    node.port = pin.in_port;
-    node.joined_at = sim_->now();
-    topology_.upsert_node(arp.sender_mac.to_string(), node);
+    upsert_host_node(arp.sender_mac, arp.sender_ip, dpid, pin.in_port, sim_->now());
     raise(mon::EventType::kHostMoved, mon::Subject::mac(arp.sender_mac),
           "now at dpid=" + std::to_string(dpid) + ", " + std::to_string(torn) +
               " flows re-routed",
           dpid);
   }
   if (fresh && registry_.find_by_mac(arp.sender_mac) == nullptr) {
-    topo::TopologyGraph::AttachedNode node;
-    node.name = arp.sender_ip.to_string();
-    node.kind = topo::NodeKind::kHost;
-    node.dpid = dpid;
-    node.port = pin.in_port;
-    node.joined_at = sim_->now();
-    topology_.upsert_node(arp.sender_mac.to_string(), node);
+    upsert_host_node(arp.sender_mac, arp.sender_ip, dpid, pin.in_port, sim_->now());
     raise(mon::EventType::kHostJoin, mon::Subject::mac(arp.sender_mac), arp.sender_ip.to_string(),
           dpid);
   }
@@ -705,13 +659,7 @@ void Controller::handle_dhcp(DatapathId dpid, const of::PacketIn& pin) {
       replicate(
           ha::HostLearnedRecord{request->client_mac, *leased, dpid, pin.in_port, sim_->now()});
       if (fresh) {
-        topo::TopologyGraph::AttachedNode node;
-        node.name = leased->to_string();
-        node.kind = topo::NodeKind::kHost;
-        node.dpid = dpid;
-        node.port = pin.in_port;
-        node.joined_at = sim_->now();
-        topology_.upsert_node(request->client_mac.to_string(), node);
+        upsert_host_node(request->client_mac, *leased, dpid, pin.in_port, sim_->now());
         raise(mon::EventType::kHostJoin, mon::Subject::mac(request->client_mac),
               "dhcp " + leased->to_string(), dpid);
       }
@@ -738,6 +686,13 @@ pkt::FlowKey Controller::session_reverse(const pkt::FlowKey& key) {
     rev.tp_dst = 0;
   }
   return rev;
+}
+
+of::Match Controller::entry_match(const FlowRecord& record, const PathStep& step) {
+  pkt::FlowKey k = step.reverse != 0 ? session_reverse(record.key) : record.key;
+  if (step.src_se != PathStep::kKeyMac) k.dl_src = record.se_macs[step.src_se];
+  if (step.dst_se != PathStep::kKeyMac) k.dl_dst = record.se_macs[step.dst_se];
+  return of::Match::exact(step.in_port, k);
 }
 
 pkt::FlowKey Controller::decision_class(const pkt::FlowKey& key) {
@@ -779,14 +734,7 @@ void Controller::handle_flow_setup(DatapathId dpid, const of::PacketIn& pin) {
   // controller before the entries landed on the switch. Release the parked
   // packet through the already-computed ingress actions.
   if (const FlowRecord* existing = find_session(key)) {
-    auto sw = switches_.find(dpid);
-    if (sw != switches_.end() && sw->second.channel != nullptr) {
-      of::PacketOut out;
-      out.buffer_id = pin.buffer_id;
-      out.in_port = pin.in_port;
-      out.actions = existing->ingress_actions;
-      sw->second.channel->send_to_switch(std::move(out));
-    }
+    release_buffered({dpid, pin.in_port, pin.buffer_id}, existing->ingress_actions);
     return;
   }
 
@@ -839,7 +787,7 @@ void Controller::handle_flow_setup(DatapathId dpid, const of::PacketIn& pin) {
   }
   ++stats_.fastpath.decision_cache_misses;
 
-  auto decision = build_decision(dpid, pin.in_port, cls, key);
+  auto decision = build_decision(cls, key);
   if (!decision) {
     // An endpoint has not announced itself yet (or an uplink is undiscovered):
     // park the setup until the missing knowledge arrives.
@@ -859,12 +807,8 @@ void Controller::handle_flow_setup(DatapathId dpid, const of::PacketIn& pin) {
   }
 }
 
-std::optional<Controller::CachedDecision> Controller::build_decision(DatapathId dpid,
-                                                                     PortId in_port,
-                                                                     const pkt::FlowKey& cls,
+std::optional<Controller::CachedDecision> Controller::build_decision(const pkt::FlowKey& cls,
                                                                      const pkt::FlowKey& key) {
-  (void)dpid;
-  (void)in_port;
   CachedDecision decision;
   // The class zeroes only tp_src, which no policy predicate reads, so the
   // class verdict is the per-flow verdict.
@@ -884,6 +828,7 @@ std::optional<Controller::CachedDecision> Controller::build_decision(DatapathId 
     // chain (and its templates) must not be memoized.
     if (policy->granularity == LbGranularity::kPerFlow) decision.cacheable = false;
     for (svc::ServiceType service : policy->service_chain) {
+      if (chain.size() == FlowRecord::kMaxChain) break;
       // Balance on the concrete key: per-flow pins and release_flow() are
       // keyed by it.
       const auto se_id = lb_.assign(registry_, service, key, policy->granularity);
@@ -963,9 +908,18 @@ bool Controller::build_path(const PathSpec& spec, CachedDecision& decision, bool
       sm.ingress_mod = static_cast<int>(sm.mods.size());
       first = false;
     }
+    // cur_key's MACs are its own or an SE's (a key MAC equal to an SE's
+    // rebuilds the same either way).
+    const auto se_index = [&macs = decision.se_macs](MacAddress mac) {
+      const auto at = std::find(macs.begin(), macs.end(), mac);
+      return at == macs.end() ? PathStep::kKeyMac : static_cast<std::uint8_t>(at - macs.begin());
+    };
+    sm.steps.push_back(PathStep{dpid, entry.match.in_port_value(),
+                                static_cast<std::uint8_t>(reverse),
+                                se_index(entry.match.dl_src_value()),
+                                se_index(entry.match.dl_dst_value())});
     mod.entry = std::move(entry);
     sm.mods.push_back(std::move(mod));
-    sm.reverse_dir.push_back(reverse ? 1 : 0);
   };
 
   // Steering hops through the service chain (paper §IV.A steps i-iii).
@@ -1067,35 +1021,38 @@ void Controller::offload_flow(FlowRecord& record, const SeRecord& se,
   auto direct = build_direct_decision(key);
   if (!direct) return;  // an endpoint location evaporated: keep the redirect
 
-  std::vector<std::pair<DatapathId, of::FlowMod>> new_mods;
-  for (SwitchMods& sm : direct->switches) {
-    for (of::FlowMod& mod : sm.mods) new_mods.emplace_back(sm.dpid, std::move(mod));
-  }
-  decltype(record.installed) new_installed;
-  for (const auto& [mod_dpid, mod] : new_mods) new_installed.emplace_back(mod_dpid, mod.entry.match);
+  // Whether `steps` hold the entry (dpid, match). The direct path's steps
+  // name no SE, so they rebuild against this record like its own.
+  const auto holds = [&record](const auto& steps, DatapathId dpid, const of::Match& match) {
+    return std::any_of(steps.begin(), steps.end(), [&](const PathStep& step) {
+      return step.dpid == dpid && entry_match(record, step) == match;
+    });
+  };
 
   // Rewrite in place: entries whose (dpid, match) survive — the ingress and
   // egress pair of the paper's 4-entry chain — are ModifyStrict'ed (keeps
   // the cookie, removal notification and counters), genuinely new hops are
   // added first, and only then the stale steering entries deleted, so no
   // in-flight packet ever hits a gap.
-  for (auto& [mod_dpid, mod] : new_mods) {
-    const bool existed = std::find(record.installed.begin(), record.installed.end(),
-                                   std::make_pair(mod_dpid, mod.entry.match)) !=
-                         record.installed.end();
-    mod.command = existed ? of::FlowModCommand::kModifyStrict : of::FlowModCommand::kAdd;
-    send_flow_mod(mod_dpid, mod);
-  }
-  for (const auto& [old_dpid, match] : record.installed) {
-    if (std::find(new_installed.begin(), new_installed.end(), std::make_pair(old_dpid, match)) !=
-        new_installed.end()) {
-      continue;
+  decltype(record.installed) new_installed;
+  for (SwitchMods& sm : direct->switches) {
+    for (std::size_t i = 0; i < sm.mods.size(); ++i) {
+      of::FlowMod& mod = sm.mods[i];
+      mod.command = holds(record.installed, sm.dpid, mod.entry.match)
+                        ? of::FlowModCommand::kModifyStrict
+                        : of::FlowModCommand::kAdd;
+      send_flow_mod(sm.dpid, std::move(mod));
+      new_installed.push_back(sm.steps[i]);
     }
+  }
+  for (const PathStep& old : record.installed) {
+    const of::Match match = entry_match(record, old);
+    if (holds(new_installed, old.dpid, match)) continue;
     of::FlowMod mod;
     mod.command = of::FlowModCommand::kDeleteStrict;
     mod.entry.match = match;
     mod.entry.priority = config_.flow_priority;
-    send_flow_mod(old_dpid, mod);
+    send_flow_mod(old.dpid, mod);
   }
 
   // The SEs stop seeing this flow: release the chain's load-balancer
@@ -1108,7 +1065,7 @@ void Controller::offload_flow(FlowRecord& record, const SeRecord& se,
     if (chain_se != nullptr) lb_.release_flow(key, chain_se->service);
   }
   record.se_ids.clear();
-  record.benign_se_ids.clear();
+  record.benign_mask = 0;
   record.installed = std::move(new_installed);
   record.ingress_actions = direct->ingress_actions;
 
@@ -1171,7 +1128,7 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
     for (std::size_t i = 0; i < sm.mods.size(); ++i) {
       of::FlowMod mod = sm.mods[i];
       if (patch_ports) {
-        if (sm.reverse_dir[i] != 0) {
+        if (sm.steps[i].reverse != 0) {
           mod.entry.match.tp_dst(key.tp_src);
         } else {
           mod.entry.match.tp_src(key.tp_src);
@@ -1181,7 +1138,7 @@ void Controller::apply_decision(CachedDecision& decision, DatapathId dpid, const
         mod.entry.cookie = cookie;
         mod.buffer_id = pin.buffer_id;
       }
-      record.installed.emplace_back(sm.dpid, mod.entry.match);
+      record.installed.push_back(sm.steps[i]);
       batch.mods.push_back(std::move(mod));
     }
     if (channel != nullptr) {
@@ -1261,16 +1218,20 @@ void Controller::retry_pending(const std::vector<pkt::FlowKey>& keys) {
     // Release the suppressed duplicates' buffered packets through the
     // now-installed ingress actions.
     for (std::size_t i = 1; i < pending.waiters.size(); ++i) {
-      const PendingSetup::Waiter& waiter = pending.waiters[i];
-      auto sw = switches_.find(waiter.dpid);
-      if (sw == switches_.end() || sw->second.channel == nullptr) continue;
-      of::PacketOut out;
-      out.buffer_id = waiter.buffer_id;
-      out.in_port = waiter.in_port;
-      out.actions = flow->ingress_actions;
-      sw->second.channel->send_to_switch(std::move(out));
+      release_buffered(pending.waiters[i], flow->ingress_actions);
     }
   }
+}
+
+void Controller::release_buffered(const PendingSetup::Waiter& waiter,
+                                  const of::ActionList& actions) {
+  auto sw = switches_.find(waiter.dpid);
+  if (sw == switches_.end() || sw->second.channel == nullptr) return;
+  of::PacketOut out;
+  out.buffer_id = waiter.buffer_id;
+  out.in_port = waiter.in_port;
+  out.actions = actions;
+  sw->second.channel->send_to_switch(std::move(out));
 }
 
 void Controller::expire_pending(SimTime now) {
@@ -1385,12 +1346,13 @@ void Controller::end_session(std::uint32_t slot, mon::Detail detail) {
 }
 
 void Controller::teardown_session(std::uint32_t slot) {
-  for (const auto& [dpid, match] : session_at(slot).installed) {
+  const FlowRecord& record = session_at(slot);
+  for (const PathStep& step : record.installed) {
     of::FlowMod mod;
     mod.command = of::FlowModCommand::kDeleteStrict;
-    mod.entry.match = match;
+    mod.entry.match = entry_match(record, step);
     mod.entry.priority = config_.flow_priority;
-    send_flow_mod(dpid, mod);
+    send_flow_mod(step.dpid, mod);
   }
   // Ending frees the slot, so the late FlowRemoved from the delete is
   // ignored.
@@ -1428,7 +1390,8 @@ void Controller::on_flow_removed(DatapathId dpid, const of::FlowRemoved& removed
   if (slot >= session_slots_) return;
   const std::optional<FlowRecord>& live = session_slot(slot).record;
   if (!live || live->cookie != removed.cookie || live->installed.empty() ||
-      live->installed.front() != std::make_pair(dpid, removed.match)) {
+      live->installed.front().dpid != dpid ||
+      entry_match(*live, live->installed.front()) != removed.match) {
     return;
   }
   // Data-path counters from the expired entry feed the per-user traffic
@@ -1539,6 +1502,19 @@ void Controller::housekeeping_tick() {
 
 // --- helpers -----------------------------------------------------------------------
 
+void Controller::upsert_host_node(const MacAddress& mac, Ipv4Address ip, DatapathId dpid,
+                                  PortId port, SimTime at) {
+  topology_.upsert_node(mac.to_string(),
+                        {ip.to_string(), topo::NodeKind::kHost, dpid, port, at});
+}
+
+void Controller::upsert_se_node(std::uint64_t se_id, svc::ServiceType service, DatapathId dpid,
+                                PortId port, SimTime at) {
+  const std::string id = "se" + std::to_string(se_id);
+  topology_.upsert_node(id, {id + ":" + svc::service_type_name(service),
+                             topo::NodeKind::kServiceElement, dpid, port, at});
+}
+
 const Controller::SwitchLoad* Controller::switch_load(DatapathId dpid) const {
   return switch_loads_.find(dpid);
 }
@@ -1598,13 +1574,7 @@ bool Controller::apply_replicated(const ha::RecordBody& body) {
   if (const auto* h = std::get_if<ha::HostLearnedRecord>(&body)) {
     routing_.learn(h->mac, h->ip, h->dpid, h->port, h->seen_at);
     if (registry_.find_by_mac(h->mac) == nullptr) {
-      topo::TopologyGraph::AttachedNode node;
-      node.name = h->ip.to_string();
-      node.kind = topo::NodeKind::kHost;
-      node.dpid = h->dpid;
-      node.port = h->port;
-      node.joined_at = h->seen_at;
-      topology_.upsert_node(h->mac.to_string(), node);
+      upsert_host_node(h->mac, h->ip, h->dpid, h->port, h->seen_at);
     }
   } else if (const auto* h = std::get_if<ha::HostRemovedRecord>(&body)) {
     routing_.remove(h->mac);
@@ -1624,13 +1594,7 @@ bool Controller::apply_replicated(const ha::RecordBody& body) {
     svc::OnlineMessage report;
     report.service = s->service;
     registry_.handle_online(s->se_id, s->mac, s->ip, s->dpid, s->port, report, s->seen_at);
-    topo::TopologyGraph::AttachedNode node;
-    node.name = "se" + std::to_string(s->se_id) + ":" + svc::service_type_name(s->service);
-    node.kind = topo::NodeKind::kServiceElement;
-    node.dpid = s->dpid;
-    node.port = s->port;
-    node.joined_at = s->seen_at;
-    topology_.upsert_node("se" + std::to_string(s->se_id), node);
+    upsert_se_node(s->se_id, s->service, s->dpid, s->port, s->seen_at);
   } else if (const auto* s = std::get_if<ha::SeRemovedRecord>(&body)) {
     registry_.remove(s->se_id);
     lb_.purge_se(s->se_id);
@@ -1658,11 +1622,7 @@ bool Controller::apply_replicated(const ha::RecordBody& body) {
     SwitchState& state = switches_[s->dpid];
     state.num_ports = s->num_ports;
     state.name = s->name;
-    topo::TopologyGraph::SwitchInfo info;
-    info.dpid = s->dpid;
-    info.name = s->name;
-    info.kind = state.kind;
-    topology_.add_switch(info);
+    topology_.add_switch({s->dpid, s->name, state.kind, 0});
   } else if (const auto* s = std::get_if<ha::SwitchDownRecord>(&body)) {
     switch_loads_.erase(s->dpid);
     topology_.remove_switch(s->dpid);

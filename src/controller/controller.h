@@ -242,6 +242,12 @@ class Controller : public of::ControllerEndpoint {
   const mon::ServiceAwareMonitor& service_monitor() const { return monitor_; }
   bool flow_blocked(const pkt::FlowKey& key) const { return blocked_flows_.contains(key); }
   std::size_t active_flows() const { return sessions_.size(); }
+  /// Bytes of the session slab (live and free slots) and its three indexes.
+  std::size_t session_memory_bytes() const {
+    return session_chunks_.size() * kSessionChunk * sizeof(SessionSlot) +
+           session_chunks_.capacity() * sizeof(session_chunks_[0]) + sessions_.memory_bytes() +
+           steered_.memory_bytes() + icmp_reverse_.memory_bytes();
+  }
 
   /// Rolling per-switch load derived from StatsReply deltas.
   struct SwitchLoad {
@@ -305,7 +311,11 @@ class Controller : public of::ControllerEndpoint {
   std::vector<std::pair<DatapathId, of::Match>> flow_entries(const pkt::FlowKey& key) const {
     const FlowRecord* record = find_session(key);
     if (record == nullptr) return {};
-    return {record->installed.begin(), record->installed.end()};
+    std::vector<std::pair<DatapathId, of::Match>> entries;
+    for (const PathStep& step : record->installed) {
+      entries.emplace_back(step.dpid, entry_match(*record, step));
+    }
+    return entries;
   }
   /// SE chain an active flow is steered through (empty after offload).
   std::vector<std::uint64_t> flow_se_ids(const pkt::FlowKey& key) const {
@@ -323,6 +333,19 @@ class Controller : public of::ControllerEndpoint {
     bool connected = false;
   };
 
+  /// One installed entry of a session. It matches Match::exact(in_port, k)
+  /// on switch dpid, where k is the session's key (or its session_reverse)
+  /// with dl_src and/or dl_dst replaced by a chain SE's MAC (DESIGN.md §9).
+  struct PathStep {
+    static constexpr std::uint8_t kKeyMac = 0xFF;  // the key's own MAC
+    DatapathId dpid = 0;
+    PortId in_port = kInvalidPort;
+    std::uint8_t reverse = 0;       // 1 = k derives from session_reverse(key)
+    std::uint8_t src_se = kKeyMac;  // se_macs index carried as dl_src
+    std::uint8_t dst_se = kKeyMac;  // se_macs index carried as dl_dst
+  };
+  static_assert(sizeof(PathStep) == 16);
+
   /// Controller-side record of one installed end-to-end session: the
   /// forward flow plus its pre-installed reverse direction. Records live in
   /// the session slab (DESIGN.md §9); their inline capacities follow the
@@ -335,6 +358,9 @@ class Controller : public of::ControllerEndpoint {
     /// switch): at most 2 * (chain length + 1), so 4 for a one-SE chain
     /// (paper §IV.A). Longer chains spill to the heap.
     static constexpr std::size_t kInlineEntries = 8;
+    /// Longest SE chain a session is steered through: a PathStep names an
+    /// SE by a one-byte index and benign_mask holds one bit per position.
+    static constexpr std::size_t kMaxChain = 32;
 
     pkt::FlowKey key;  // original 9-tuple (forward direction); dl_src is the user
     /// Cookie stamped on the ingress entry: (slot generation << 32) | slot.
@@ -343,23 +369,27 @@ class Controller : public of::ControllerEndpoint {
     PortId ingress_port = kInvalidPort;
     svc::l7::AppProtocol app = svc::l7::AppProtocol::kUnknown;
     bool blocked = false;
+    /// Chain positions whose SE issued a benign VERDICT for this flow. The
+    /// cut-through fires only once every position of se_ids is set.
+    std::uint32_t benign_mask = 0;
     SmallVector<std::uint64_t, 1> se_ids;  // traversed chain
-    /// SEs of the chain that issued a benign VERDICT for this flow. The
-    /// cut-through fires only once every se_ids member is present.
-    SmallVector<std::uint64_t, 1> benign_se_ids;
-    /// MACs of the chain's SEs. The steered variants of the key and of its
-    /// reverse (dl_dst = SE MAC) are filed in steered_ and re-derived from
-    /// these for cleanup.
+    /// MACs of the chain's SEs, in chain order. The steered variants of the
+    /// key and of its reverse (dl_dst = SE MAC) are filed in steered_ and
+    /// re-derived from these for cleanup; path steps index them.
     SmallVector<MacAddress, 1> se_macs;
-    /// Every entry installed for this flow: (dpid, match) so that
-    /// blocking / teardown can address them. The first is the ingress
-    /// entry, which carries the cookie: build_path emits the forward path
-    /// first, starting at the ingress switch.
-    SmallVector<std::pair<DatapathId, of::Match>, kInlineEntries> installed;
+    /// Every entry installed for this flow, so that blocking / teardown can
+    /// address them (entry_match rebuilds each match). The first is the
+    /// ingress entry, which carries the cookie: build_path emits the forward
+    /// path first, starting at the ingress switch.
+    SmallVector<PathStep, kInlineEntries> installed;
     /// Actions of the ingress entry — used to release packets that raced to
     /// the controller before the entries landed (duplicate packet-ins).
     of::ActionList ingress_actions;
   };
+
+  /// The match of one installed entry of `record`, as apply_decision sent
+  /// it: the class templates' zeroed source port is the key's own again.
+  static of::Match entry_match(const FlowRecord& record, const PathStep& step);
 
   // --- flow-session slab (DESIGN.md §9) ---------------------------------------
   //
@@ -372,7 +402,7 @@ class Controller : public of::ControllerEndpoint {
   // entry another controller installed, changes nothing.
 
   static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
-  /// Small chunks: a controller with a handful of flows holds one ~40 KB
+  /// Small chunks: a controller with a handful of flows holds one ~22 KB
   /// chunk, and growth never copies or reallocates records.
   static constexpr std::uint32_t kSessionChunk = 64;
 
@@ -381,6 +411,9 @@ class Controller : public of::ControllerEndpoint {
     std::uint32_t generation = 1;      // never 0: cookie 0 is "not ours"
     std::uint32_t next_free = kNoSlot;
   };
+  // The slot is the per-live-flow cost of the controller; DESIGN.md §9
+  // gives its layout. Growing it is a memory regression at campus scale.
+  static_assert(sizeof(SessionSlot) <= 352);
 
   SessionSlot& session_slot(std::uint32_t slot) {
     return session_chunks_[slot / kSessionChunk][slot % kSessionChunk];
@@ -413,8 +446,8 @@ class Controller : public of::ControllerEndpoint {
   /// Flow-mod templates of one switch's share of a class's path.
   struct SwitchMods {
     DatapathId dpid = 0;
-    std::vector<of::FlowMod> mods;          // class-keyed templates, in order
-    std::vector<std::uint8_t> reverse_dir;  // parallel: 1 = reverse-direction
+    std::vector<of::FlowMod> mods;   // class-keyed templates, in order
+    std::vector<PathStep> steps;     // parallel: each template's path step
     int ingress_mod = -1;  // patched with cookie + buffer id (forward ingress)
   };
 
@@ -477,8 +510,7 @@ class Controller : public of::ControllerEndpoint {
   void validate_decision_cache();
   /// Computes the full decision for a class (policy, SE chain, per-switch
   /// templates). nullopt = a precondition is missing (park the setup).
-  std::optional<CachedDecision> build_decision(DatapathId dpid, PortId in_port,
-                                               const pkt::FlowKey& cls, const pkt::FlowKey& key);
+  std::optional<CachedDecision> build_decision(const pkt::FlowKey& cls, const pkt::FlowKey& key);
   /// Replays a decision for one concrete flow: patches the templates,
   /// batches them out, and registers the flow record.
   void apply_decision(CachedDecision& decision, DatapathId dpid, const of::PacketIn& pin,
@@ -490,6 +522,8 @@ class Controller : public of::ControllerEndpoint {
   /// Retries every parked setup (topology knowledge changed).
   void retry_all_pending();
   void retry_pending(const std::vector<pkt::FlowKey>& keys);
+  /// Releases a packet buffered on a switch through a flow's ingress actions.
+  void release_buffered(const PendingSetup::Waiter& waiter, const of::ActionList& actions);
   void expire_pending(SimTime now);
 
   // Message handlers.
@@ -615,6 +649,11 @@ class Controller : public of::ControllerEndpoint {
   /// suppresses host broadcasts (paper §III.C.2), so without priming the
   /// fabric would flood every frame toward hosts that never send through it.
   void prime_fabric_location(const MacAddress& mac, Ipv4Address ip, DatapathId dpid);
+  /// Files a host / an SE in the topology view at its attachment point.
+  void upsert_host_node(const MacAddress& mac, Ipv4Address ip, DatapathId dpid, PortId port,
+                        SimTime at);
+  void upsert_se_node(std::uint64_t se_id, svc::ServiceType service, DatapathId dpid, PortId port,
+                      SimTime at);
 
   sim::Simulator* sim_;
   Config config_;

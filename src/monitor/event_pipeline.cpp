@@ -74,6 +74,32 @@ NetworkEvent decode_row(pkt::BufferReader& r) {
   e.flow = pkt::FlowKey::decode(r);
   return e;
 }
+
+/// Decodes a row-batch blob row by row, handing each row to `on_row`. False
+/// when the blob is corrupt, of another version, or its rows disagree with
+/// its header; `on_row` may then have seen a prefix of the rows.
+template <typename OnRow>
+bool for_each_row(std::span<const std::uint8_t> blob, OnRow&& on_row) {
+  pkt::BufferReader r(blob);
+  if (r.u32() != kRowsMagic || r.u8() != kRowsVersion) return false;
+  if (!r.ok()) return false;
+  const std::uint32_t count = r.u32();
+  const std::uint64_t id_min = r.u64();
+  const std::uint64_t id_max = r.u64();
+  if (!r.ok() || count > r.remaining() / kRowWireBytes) return false;
+  std::uint64_t seen_min = 0;
+  std::uint64_t seen_max = 0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    NetworkEvent row = decode_row(r);
+    if (!r.ok() || !row.well_formed()) return false;
+    seen_min = (i == 0) ? row.id : std::min(seen_min, row.id);
+    seen_max = std::max(seen_max, row.id);
+    on_row(std::move(row));
+  }
+  // The header is trusted by peek_rows consumers — reject blobs whose rows
+  // disagree with it.
+  return r.remaining() == 0 && seen_min == id_min && seen_max == id_max;
+}
 }  // namespace
 
 void RowBatchEncoder::write_header() {
@@ -328,28 +354,11 @@ std::optional<std::uint32_t> EventPipeline::peek_rows(std::span<const std::uint8
 
 std::optional<std::vector<NetworkEvent>> EventPipeline::decode_rows(
     std::span<const std::uint8_t> blob) {
-  pkt::BufferReader r(blob);
-  if (r.u32() != kRowsMagic || r.u8() != kRowsVersion) return std::nullopt;
-  if (!r.ok()) return std::nullopt;
-  const std::uint32_t count = r.u32();
-  const std::uint64_t id_min = r.u64();
-  const std::uint64_t id_max = r.u64();
-  if (!r.ok() || count > r.remaining() / kRowWireBytes) return std::nullopt;
   std::vector<NetworkEvent> rows;
-  rows.reserve(count);
-  std::uint64_t seen_min = 0;
-  std::uint64_t seen_max = 0;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    rows.push_back(decode_row(r));
-    if (!r.ok() || !rows.back().well_formed()) return std::nullopt;
-    const std::uint64_t id = rows.back().id;
-    seen_min = (i == 0) ? id : std::min(seen_min, id);
-    seen_max = std::max(seen_max, id);
+  rows.reserve(peek_rows(blob).value_or(0));
+  if (!for_each_row(blob, [&rows](NetworkEvent&& row) { rows.push_back(std::move(row)); })) {
+    return std::nullopt;
   }
-  if (r.remaining() != 0) return std::nullopt;
-  // The header is trusted by peek_rows consumers — reject blobs whose rows
-  // disagree with it.
-  if (seen_min != id_min || seen_max != id_max) return std::nullopt;
   return rows;
 }
 
@@ -400,15 +409,16 @@ void EventPipeline::ingest_restored(NetworkEvent&& event) {
 }
 
 bool EventPipeline::restore_rows(std::span<const std::uint8_t> blob) {
-  auto rows = decode_rows(blob);
-  if (!rows) return false;
-  for (NetworkEvent& row : *rows) {
+  // Validate the whole batch first, so a corrupt one ingests no row; then
+  // decode it again straight into staging, with no batch-sized buffer.
+  if (!for_each_row(blob, [](NetworkEvent&&) {})) return false;
+  for_each_row(blob, [this](NetworkEvent&& row) {
     if (row.id < next_id_) {
       ++counters_.restore_skipped;  // snapshot/log overlap: already applied
-      continue;
+      return;
     }
     ingest_restored(std::move(row));
-  }
+  });
   return true;
 }
 

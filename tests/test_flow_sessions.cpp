@@ -5,10 +5,12 @@
 // randomized property test of the session table against a std::map
 // reference model: setups, FlowRemoved with live, stale (reused-slot) and
 // foreign cookies or a mismatched match, host roams, SE migrations and
-// switch disconnects.
+// switch disconnects; and, for every path shape, that the entries a session
+// remembers are exactly the ones it installed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -33,23 +35,33 @@ constexpr std::uint64_t kSeId = 7;
 constexpr PortId kUplink = 9;
 constexpr std::uint16_t kRedirectPort = 80;
 
-/// Records every FlowMod a switch receives, batches flattened.
+/// Every FlowMod the controller sent, in arrival order over all switches.
+using SentLog = std::vector<std::pair<DatapathId, of::FlowMod>>;
+
+/// Records every FlowMod a switch receives, batches flattened, into its own
+/// list and the shared log.
 class RecordingSwitch : public of::SwitchEndpoint {
  public:
-  explicit RecordingSwitch(DatapathId dpid) : dpid_(dpid) {}
+  RecordingSwitch(DatapathId dpid, SentLog& log) : dpid_(dpid), log_(log) {}
   DatapathId datapath_id() const override { return dpid_; }
   void handle_controller_message(const of::Message& m) override {
     if (const auto* fm = std::get_if<of::FlowMod>(&m)) {
-      flow_mods.push_back(*fm);
+      record(*fm);
     } else if (const auto* batch = std::get_if<of::FlowModBatch>(&m)) {
-      flow_mods.insert(flow_mods.end(), batch->mods.begin(), batch->mods.end());
+      for (const of::FlowMod& mod : batch->mods) record(mod);
     }
   }
 
   std::vector<of::FlowMod> flow_mods;
 
  private:
+  void record(const of::FlowMod& mod) {
+    flow_mods.push_back(mod);
+    log_.emplace_back(dpid_, mod);
+  }
+
   DatapathId dpid_;
+  SentLog& log_;
 };
 
 struct Endpoint {
@@ -76,6 +88,7 @@ struct SessionNet {
 
   sim::Simulator sim;
   ctrl::Controller controller{sim};
+  SentLog sent;
   std::vector<std::unique_ptr<RecordingSwitch>> switches;
   std::vector<std::unique_ptr<of::SecureChannel>> channels;
   std::vector<Endpoint> hosts;
@@ -84,7 +97,7 @@ struct SessionNet {
   SessionNet() {
     for (int i = 0; i < kSwitches; ++i) {
       const auto dpid = static_cast<DatapathId>(i + 1);
-      switches.push_back(std::make_unique<RecordingSwitch>(dpid));
+      switches.push_back(std::make_unique<RecordingSwitch>(dpid, sent));
       channels.push_back(std::make_unique<of::SecureChannel>(sim, *switches.back(), controller,
                                                              10 * kMicrosecond));
       controller.attach_channel(dpid, *channels.back());
@@ -133,15 +146,18 @@ struct SessionNet {
                   .finalize());
   }
 
-  void daemon(const decltype(svc::DaemonMessage::body)& body) {
+  void daemon(const decltype(svc::DaemonMessage::body)& body) { daemon_from(kSeId, se, body); }
+
+  void daemon_from(std::uint64_t se_id, const Endpoint& from,
+                   const decltype(svc::DaemonMessage::body)& body) {
     svc::DaemonMessage message;
-    message.se_id = kSeId;
-    message.cert_token = controller.certification().issue(kSeId);
+    message.se_id = se_id;
+    message.cert_token = controller.certification().issue(se_id);
     message.body = body;
-    packet_in(se.dpid, se.port,
+    packet_in(from.dpid, from.port,
               pkt::PacketBuilder()
-                  .eth(se.mac, svc::controller_service_mac())
-                  .ipv4(se.ip, svc::controller_service_ip(), pkt::IpProto::kUdp)
+                  .eth(from.mac, svc::controller_service_mac())
+                  .ipv4(from.ip, svc::controller_service_ip(), pkt::IpProto::kUdp)
                   .udp(svc::kLiveSecPort, svc::kLiveSecPort)
                   .payload(pkt::make_payload(message.encode()))
                   .finalize());
@@ -660,6 +676,174 @@ TEST(FlowSessionModel, RandomChurnMatchesReferenceModel) {
     EXPECT_GT(model.removals_ignored(), 20u);
     EXPECT_GT(model.stale_on_reused_slot(), 0u);
   }
+}
+
+// --- path steps rebuild the installed matches ----------------------------------------
+//
+// A session remembers each installed entry as a path step and rebuilds its
+// match on demand. For each path shape the rebuilt matches — flow_entries()
+// and the DeleteStricts of a teardown — must be the sent ones, entry for
+// entry, in the order they were sent.
+
+using Entries = std::vector<std::pair<DatapathId, of::Match>>;
+
+/// (dpid, match) of the FlowMods in `log` from `from` on whose command is
+/// one of `commands`.
+Entries sent_matches(const SentLog& log, std::size_t from,
+                     std::initializer_list<of::FlowModCommand> commands) {
+  Entries out;
+  for (std::size_t i = from; i < log.size(); ++i) {
+    const auto& [dpid, mod] = log[i];
+    if (std::find(commands.begin(), commands.end(), mod.command) != commands.end()) {
+      out.emplace_back(dpid, mod.entry.match);
+    }
+  }
+  return out;
+}
+
+constexpr std::uint64_t kFirewallId = 8;
+constexpr std::uint16_t kChainPort = 443;
+
+/// SessionNet plus a firewall SE on switch 2 and a UDP/443 policy steering
+/// through the IDS (switch 3) and then the firewall.
+struct ChainNet : SessionNet {
+  Endpoint firewall{MacAddress::from_uint64(0x5E0008), Ipv4Address(10, 0, 9, 8), 2, 8};
+
+  ChainNet() {
+    svc::OnlineMessage online;
+    online.service = svc::ServiceType::kFirewall;
+    online.capacity_bps = 1'000'000'000;
+    daemon_from(kFirewallId, firewall, online);
+    ctrl::Policy chain;
+    chain.name = "udp443-via-ids-and-firewall";
+    chain.nw_proto = static_cast<std::uint8_t>(pkt::IpProto::kUdp);
+    chain.tp_dst = kChainPort;
+    chain.action = ctrl::PolicyAction::kRedirect;
+    chain.service_chain = {svc::ServiceType::kIntrusionDetection, svc::ServiceType::kFirewall};
+    controller.policies().add(chain);
+  }
+};
+
+/// Moves `host` to a spare port, which tears down every session it is an
+/// endpoint of, and returns the DeleteStrict matches that teardown sent.
+Entries roam_and_collect_deletes(SessionNet& net, Endpoint& host) {
+  const std::size_t mark = net.sent.size();
+  host.port += 5;
+  net.announce(host);
+  EXPECT_EQ(net.controller.active_flows(), 0u);
+  return sent_matches(net.sent, mark, {of::FlowModCommand::kDeleteStrict});
+}
+
+/// Sets up one flow from `src`, checks its remembered entries against the
+/// sent Adds (`entries` of them), then tears it down and checks the deletes.
+void expect_steps_rebuild_sent(SessionNet& net, Endpoint& src, pkt::PacketPtr packet,
+                               std::size_t entries, std::size_t chain) {
+  const std::size_t mark = net.sent.size();
+  const pkt::FlowKey key = net.start(src, std::move(packet));
+  ASSERT_EQ(net.controller.active_flows(), 1u);
+  ASSERT_EQ(net.controller.flow_se_ids(key).size(), chain);
+  const Entries added = sent_matches(net.sent, mark, {of::FlowModCommand::kAdd});
+  ASSERT_EQ(added.size(), entries);
+  EXPECT_EQ(net.controller.flow_entries(key), added);
+  EXPECT_EQ(roam_and_collect_deletes(net, src), added);
+}
+
+TEST(FlowSessionSteps, DirectOnOneSwitch) {
+  SessionNet net;
+  expect_steps_rebuild_sent(net, net.hosts[0],
+                            SessionNet::udp(net.hosts[0], net.hosts[3], 1000, 53), 2, 0);
+}
+
+TEST(FlowSessionSteps, DirectAcrossSwitches) {
+  SessionNet net;
+  expect_steps_rebuild_sent(net, net.hosts[0],
+                            SessionNet::udp(net.hosts[0], net.hosts[1], 1000, 53), 4, 0);
+}
+
+TEST(FlowSessionSteps, OneSeOnTheIngressSwitch) {
+  SessionNet net;
+  // hosts[2] shares switch 3 with the SE; the destination is on switch 1.
+  expect_steps_rebuild_sent(net, net.hosts[2],
+                            SessionNet::udp(net.hosts[2], net.hosts[0], 1000, kRedirectPort), 6, 1);
+}
+
+TEST(FlowSessionSteps, OneSeOnTheFarSwitch) {
+  SessionNet net;
+  expect_steps_rebuild_sent(net, net.hosts[0],
+                            SessionNet::udp(net.hosts[0], net.hosts[1], 1000, kRedirectPort), 8, 1);
+}
+
+TEST(FlowSessionSteps, TwoSeChainAcrossSwitches) {
+  // Leaving the IDS's switch toward the firewall's, frames carry the IDS's
+  // MAC as dl_src, so the firewall switch's arrival entry matches on it.
+  ChainNet net;
+  expect_steps_rebuild_sent(net, net.hosts[0],
+                            SessionNet::udp(net.hosts[0], net.hosts[3], 1000, kChainPort), 12, 2);
+}
+
+TEST(FlowSessionSteps, IcmpEcho) {
+  SessionNet net;
+  expect_steps_rebuild_sent(net, net.hosts[0], SessionNet::icmp(net.hosts[0], net.hosts[1], 8), 4,
+                            0);
+}
+
+TEST(FlowSessionSteps, CachedDecisionReplay) {
+  // The second flow of a class replays the first one's templates with its
+  // own source port patched in. Per-user balancing makes the redirect
+  // decision cacheable.
+  constexpr std::uint16_t kPerUserPort = 8080;
+  SessionNet net;
+  ctrl::Policy per_user;
+  per_user.name = "udp8080-via-ids-per-user";
+  per_user.nw_proto = static_cast<std::uint8_t>(pkt::IpProto::kUdp);
+  per_user.tp_dst = kPerUserPort;
+  per_user.action = ctrl::PolicyAction::kRedirect;
+  per_user.service_chain = {svc::ServiceType::kIntrusionDetection};
+  per_user.granularity = ctrl::LbGranularity::kPerUser;
+  net.controller.policies().add(per_user);
+  Endpoint& src = net.hosts[0];
+  Entries added;
+  std::vector<pkt::FlowKey> keys;
+  for (std::uint16_t tp_src : {1000, 1001}) {
+    const std::size_t mark = net.sent.size();
+    keys.push_back(net.start(src, SessionNet::udp(src, net.hosts[1], tp_src, kPerUserPort)));
+    const Entries flow = sent_matches(net.sent, mark, {of::FlowModCommand::kAdd});
+    ASSERT_EQ(flow.size(), 8u);
+    EXPECT_EQ(net.controller.flow_entries(keys.back()), flow);
+    added.insert(added.end(), flow.begin(), flow.end());
+  }
+  EXPECT_EQ(net.controller.stats().fastpath.decision_cache_hits, 1u);
+  // The two sessions are torn down in host-index order.
+  const Entries deleted = roam_and_collect_deletes(net, src);
+  EXPECT_TRUE(std::is_permutation(deleted.begin(), deleted.end(), added.begin(), added.end()));
+}
+
+TEST(FlowSessionSteps, AfterOffload) {
+  SessionNet net;
+  Endpoint& src = net.hosts[0];
+  const pkt::FlowKey key = net.start(src, SessionNet::udp(src, net.hosts[1], 1000, kRedirectPort));
+  const Entries steered = net.controller.flow_entries(key);
+  ASSERT_EQ(steered.size(), 8u);
+
+  const std::size_t mark = net.sent.size();
+  svc::VerdictMessage verdict;
+  verdict.verdict = svc::FlowVerdict::kBenign;
+  verdict.flow = with_dl_dst(key, net.se.mac);
+  verdict.inspected_bytes = 4096;
+  verdict.byte_budget = 4096;
+  net.daemon(verdict);
+  ASSERT_TRUE(net.controller.flow_offloaded(key));
+  // The rewrite modifies the entries the direct path keeps, adds the new
+  // ones and deletes the rest: every steered entry is modified or deleted.
+  const Entries kept = sent_matches(
+      net.sent, mark, {of::FlowModCommand::kAdd, of::FlowModCommand::kModifyStrict});
+  ASSERT_EQ(kept.size(), 4u);
+  const Entries replaced = sent_matches(
+      net.sent, mark, {of::FlowModCommand::kModifyStrict, of::FlowModCommand::kDeleteStrict});
+  EXPECT_TRUE(
+      std::is_permutation(replaced.begin(), replaced.end(), steered.begin(), steered.end()));
+  EXPECT_EQ(net.controller.flow_entries(key), kept);
+  EXPECT_EQ(roam_and_collect_deletes(net, src), kept);
 }
 
 }  // namespace
