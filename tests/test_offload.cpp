@@ -27,9 +27,8 @@ struct ChainNet {
   net::Host& alice;
   net::Host& bob;
 
-  explicit ChainNet(ctrl::Controller::Config config = {})
-      : network(config),
-        backbone(network.add_legacy_switch("backbone")),
+  ChainNet()
+      : backbone(network.add_legacy_switch("backbone")),
         ovs1(network.add_as_switch("ovs1", backbone)),
         ovs2(network.add_as_switch("ovs2", backbone)),
         ovs3(network.add_as_switch("ovs3", backbone)),
@@ -161,26 +160,6 @@ TEST(Offload, MaliciousVerdictBlocksInsteadOfOffloading) {
   EXPECT_EQ(ctrl.offloaded_flow_count(), 0u);
   EXPECT_GE(ctrl.blocked_flow_count(), 1u);
   EXPECT_LT(server.requests_served(), 10u);
-}
-
-TEST(Offload, DisabledOffloadCountsVerdictsButKeepsRedirect) {
-  ctrl::Controller::Config config;
-  config.enable_flow_offload = false;
-  ChainNet net(config);
-  svc::ServiceElement& ids = net.add_ids(4096);
-  net.add_udp_redirect_policy();
-  net.network.start();
-
-  net::UdpCbrApp stream(net.alice, {.dst = net.bob.ip(), .rate_bps = 2e6,
-                                    .duration = 1 * kSecond});
-  stream.start();
-  net.network.run_for(1500 * kMillisecond);
-
-  const auto& ctrl = net.network.controller();
-  EXPECT_GE(ctrl.stats().verdict_messages, 1u);
-  EXPECT_EQ(ctrl.stats().flows_offloaded, 0u);
-  EXPECT_EQ(ctrl.flow_entries(net.udp_key()).size(), 8u);  // still steered
-  EXPECT_GT(ids.processed_packets(), 10u);
 }
 
 // --- teardown paths -----------------------------------------------------------------
