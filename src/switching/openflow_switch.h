@@ -37,9 +37,6 @@ class OpenFlowSwitch : public sim::Node, public of::SwitchEndpoint {
     SimTime processing_delay = 25 * kMicrosecond;
     /// Max packets parked awaiting a controller decision.
     std::size_t buffer_capacity = 1024;
-    /// Default idle timeout stamped on no entries here; the controller picks
-    /// timeouts per FlowMod. Kept for future use by local apps.
-    SimTime default_idle_timeout = 0;
   };
 
   OpenFlowSwitch(sim::Simulator& sim, std::string name, DatapathId dpid);

@@ -23,7 +23,6 @@ class WifiAccessPoint : public OpenFlowSwitch {
         // OpenWrt-class CPU: noticeably slower pipeline than a Xeon OvS.
         .processing_delay = 30 * kMicrosecond,
         .buffer_capacity = 256,
-        .default_idle_timeout = 0,
     };
   };
 
