@@ -6,16 +6,6 @@
 
 namespace livesec::svc {
 
-namespace {
-
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
 const char* cached_verdict_name(CachedVerdict verdict) {
   switch (verdict) {
     case CachedVerdict::kBenign: return "benign";
@@ -25,22 +15,18 @@ const char* cached_verdict_name(CachedVerdict verdict) {
 }
 
 VerdictCache::VerdictCache(Config config) : config_(config) {
-  const std::size_t shards = round_up_pow2(std::max<std::size_t>(1, config_.shards));
-  shard_mask_ = shards - 1;
-  shards_ = std::vector<Shard>(shards);
-  if (config_.capacity_per_shard == 0) config_.capacity_per_shard = 1;
+  if (config_.capacity == 0) config_.capacity = 1;
 }
 
 std::optional<VerdictCache::Entry> VerdictCache::load_live(std::uint64_t key,
                                                            std::uint64_t current_epoch) {
-  Shard& shard = shard_of(key);
-  Entry* entry = shard.exact.find(key);
+  Entry* entry = exact_.find(key);
   if (entry == nullptr) return std::nullopt;
   if (entry->epoch != current_epoch) {
     // Lazy invalidation: the world (policy, SE pool/signatures, mastership)
     // changed since this verdict was learned.
-    shard.exact.erase(key);
-    ++shard.invalidations;
+    exact_.erase(key);
+    ++counters_.invalidations;
     return std::nullopt;
   }
   return *entry;
@@ -52,18 +38,15 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
   const std::uint64_t key = digest.key();
 
   const auto serve = [&](const Entry& entry, std::uint32_t distance) {
-    Shard& shard = shard_of(entry.digest.key());
     std::uint64_t hits = 0;
-    ++shard.hits;
+    ++counters_.hits;
     if (entry.verdict == CachedVerdict::kBenign) {
-      ++shard.benign_hits;
+      ++counters_.benign_hits;
     } else {
-      ++shard.malicious_hits;
-      if (distance > 0) ++shard.fuzzy_hits;
+      ++counters_.malicious_hits;
+      if (distance > 0) ++counters_.fuzzy_hits;
     }
-    if (Entry* live = shard.exact.find(entry.digest.key()); live != nullptr) {
-      hits = ++live->hits;
-    }
+    if (Entry* live = exact_.find(entry.digest.key()); live != nullptr) hits = ++live->hits;
     VerdictCacheEntry out;
     out.verdict = entry.verdict;
     out.rule_id = entry.rule_id;
@@ -83,7 +66,7 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
   // agreeing on at least one lane pair; the sketch distance is then checked
   // against the threshold for real.
   for (const std::uint64_t band_key : digest.band_keys()) {
-    const std::uint64_t* candidate = shard_of(band_key).bands.find(band_key);
+    const std::uint64_t* candidate = bands_.find(band_key);
     if (candidate == nullptr) continue;
     const std::uint64_t candidate_key = *candidate;
     if (candidate_key == key) continue;  // exact path already ruled it out
@@ -95,22 +78,19 @@ std::optional<VerdictCacheEntry> VerdictCache::lookup(const FuzzyDigest& digest)
     return serve(*entry, distance);
   }
 
-  Shard& shard = shard_of(key);
-  ++shard.misses;
+  ++counters_.misses;
   return std::nullopt;
 }
 
 bool VerdictCache::insert(const FuzzyDigest& digest, CachedVerdict verdict,
                           std::uint32_t rule_id, std::uint8_t severity,
                           std::uint64_t inspected_bytes) {
-  const std::uint64_t key = digest.key();
-  Shard& shard = shard_of(key);
   // A digest that never saw payload carries no content to key on; a benign
   // verdict below the byte budget is an undecided flow — either could serve
   // stale or wrong verdicts to every later flow, so both are refused.
   if (digest.empty() ||
       (verdict == CachedVerdict::kBenign && inspected_bytes < config_.min_benign_bytes)) {
-    ++shard.rejected_insertions;
+    ++counters_.rejected_insertions;
     return false;
   }
 
@@ -122,20 +102,17 @@ bool VerdictCache::insert(const FuzzyDigest& digest, CachedVerdict verdict,
   entry.inspected_bytes = inspected_bytes;
   entry.epoch = epoch();
 
-  if (shard.exact.find(key) == nullptr && shard.exact.size() >= config_.capacity_per_shard) {
-    // Same wholesale policy as the controller's decision cache: shard
-    // flushes are rare and cheaper than per-entry LRU bookkeeping.
-    shard.exact.clear();
-    shard.bands.clear();
-    ++shard.flushes;
+  const std::uint64_t key = digest.key();
+  if (exact_.find(key) == nullptr && exact_.size() >= config_.capacity) {
+    // Same wholesale policy as the controller's decision cache: flushes are
+    // rare and cheaper than per-entry LRU bookkeeping.
+    clear();
+    ++counters_.flushes;
   }
-  shard.exact.insert_or_assign(key, entry);
-  ++shard.insertions;
-  // Band pointers live in the shard their band key hashes to (a dangling
-  // pointer is validated and dropped on the lookup path).
-  for (const std::uint64_t band_key : digest.band_keys()) {
-    shard_of(band_key).bands.insert_or_assign(band_key, key);
-  }
+  exact_.insert_or_assign(key, entry);
+  ++counters_.insertions;
+  // A dangling band pointer is validated and dropped on the lookup path.
+  for (const std::uint64_t band_key : digest.band_keys()) bands_.insert_or_assign(band_key, key);
   return true;
 }
 
@@ -148,47 +125,25 @@ std::uint64_t VerdictCache::bump_epoch(const char* reason) {
 void VerdictCache::advance_epoch_to(std::uint64_t target) { epoch_ = std::max(epoch_, target); }
 
 VerdictCache::Counters VerdictCache::counters() const {
-  Counters out;
-  for (const Shard& shard : shards_) {
-    out.hits += shard.hits;
-    out.benign_hits += shard.benign_hits;
-    out.malicious_hits += shard.malicious_hits;
-    out.fuzzy_hits += shard.fuzzy_hits;
-    out.misses += shard.misses;
-    out.insertions += shard.insertions;
-    out.rejected_insertions += shard.rejected_insertions;
-    out.invalidations += shard.invalidations;
-    out.flushes += shard.flushes;
-    out.entries += shard.exact.size();
-  }
-  out.bytes_saved = bytes_saved_;
+  Counters out = counters_;
+  out.entries = exact_.size();
   out.epoch = epoch();
   return out;
 }
 
-std::size_t VerdictCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) total += shard.exact.size();
-  return total;
-}
-
 void VerdictCache::clear() {
-  for (Shard& shard : shards_) {
-    shard.exact.clear();
-    shard.bands.clear();
-  }
+  exact_.clear();
+  bands_.clear();
 }
 
 std::vector<VerdictCache::ExportedEntry> VerdictCache::export_entries() const {
   const std::uint64_t current = epoch_;
   std::vector<ExportedEntry> out;
-  for (const Shard& shard : shards_) {
-    shard.exact.for_each([&](const std::uint64_t&, const Entry& entry) {
-      if (entry.epoch != current) return;  // stale: not worth replicating
-      out.push_back(ExportedEntry{entry.digest, entry.verdict, entry.rule_id, entry.severity,
-                                  entry.inspected_bytes});
-    });
-  }
+  exact_.for_each([&](const std::uint64_t&, const Entry& entry) {
+    if (entry.epoch != current) return;  // stale: not worth replicating
+    out.push_back(ExportedEntry{entry.digest, entry.verdict, entry.rule_id, entry.severity,
+                                entry.inspected_bytes});
+  });
   std::sort(out.begin(), out.end(), [](const ExportedEntry& a, const ExportedEntry& b) {
     return a.digest.key() < b.digest.key();
   });

@@ -21,12 +21,9 @@
 //    have cleared the learning SE's byte budget — undecided flows cannot
 //    poison the cache.
 //
-// The store is sharded (key-bit sharding over FlatHashMaps); a full shard
-// is flushed on its own. The simulator is single-threaded, so shards take no
-// locks.
+// The store is one exact map and one band map, flushed whole at capacity.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -58,11 +55,9 @@ struct VerdictCacheEntry {
 class VerdictCache {
  public:
   struct Config {
-    /// Shard count, rounded up to a power of two.
-    std::size_t shards = 8;
-    /// Entries per shard; inserting into a full shard flushes it (same
-    /// wholesale policy as the controller's decision cache).
-    std::size_t capacity_per_shard = 4096;
+    /// Entry bound; inserting a new digest into a full store flushes it
+    /// (same wholesale policy as the controller's decision cache).
+    std::size_t capacity = 32768;
     /// Max sketch-lane distance for a fuzzy (malicious-only) match.
     std::uint32_t max_distance = 2;
     /// Benign inserts whose flows inspected fewer payload bytes than this
@@ -79,7 +74,7 @@ class VerdictCache {
     std::uint64_t insertions = 0;
     std::uint64_t rejected_insertions = 0;  // below byte budget / empty digest
     std::uint64_t invalidations = 0;        // stale-epoch entries erased on lookup
-    std::uint64_t flushes = 0;              // shard wipes at capacity
+    std::uint64_t flushes = 0;              // store wipes at capacity
     std::uint64_t bytes_saved = 0;          // payload bytes SEs skipped on hits
     std::uint64_t entries = 0;              // live entries (may include stale)
     std::uint64_t epoch = 0;
@@ -108,13 +103,12 @@ class VerdictCache {
   std::uint64_t epoch() const { return epoch_; }
 
   /// Credits payload bytes an SE skipped inspecting thanks to a prior hit.
-  void note_bytes_saved(std::uint64_t n) { bytes_saved_ += n; }
+  void note_bytes_saved(std::uint64_t n) { counters_.bytes_saved += n; }
 
-  /// Aggregated counters over all shards.
   Counters counters() const;
 
   /// Live entries (including not-yet-collected stale ones).
-  std::size_t size() const;
+  std::size_t size() const { return exact_.size(); }
 
   void clear();
 
@@ -140,36 +134,20 @@ class VerdictCache {
     std::uint64_t hits = 0;
   };
 
-  struct Shard {
-    /// digest.key() -> entry (exact-match path).
-    FlatHashMap<std::uint64_t, Entry> exact;
-    /// LSH band key -> candidate digest.key() (fuzzy path; last writer
-    /// wins, candidates are validated against `exact` on use).
-    FlatHashMap<std::uint64_t, std::uint64_t> bands;
-    std::uint64_t hits = 0;
-    std::uint64_t benign_hits = 0;
-    std::uint64_t malicious_hits = 0;
-    std::uint64_t fuzzy_hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t rejected_insertions = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t flushes = 0;
-  };
-
-  Shard& shard_of(std::uint64_t key) { return shards_[key & shard_mask_]; }
-  const Shard& shard_of(std::uint64_t key) const { return shards_[key & shard_mask_]; }
-
-  /// Fetches + validates the entry for `key` in its shard; erases it when
-  /// its epoch is stale. Returns nullopt when absent or stale.
+  /// Fetches + validates the entry for `key`; erases it when its epoch is
+  /// stale. Returns nullopt when absent or stale.
   std::optional<Entry> load_live(std::uint64_t key, std::uint64_t current_epoch);
 
   Config config_;
-  std::size_t shard_mask_ = 0;
-  std::vector<Shard> shards_;
-  // Plain counters: the simulator is single-threaded.
+  /// digest.key() -> entry (exact-match path).
+  FlatHashMap<std::uint64_t, Entry> exact_;
+  /// LSH band key -> candidate digest.key() (fuzzy path; last writer wins,
+  /// candidates are validated against `exact_` on use).
+  FlatHashMap<std::uint64_t, std::uint64_t> bands_;
+  /// Plain counters: the simulator is single-threaded. `entries` is read
+  /// off the map.
+  Counters counters_;
   std::uint64_t epoch_ = 0;
-  std::uint64_t bytes_saved_ = 0;
 };
 
 }  // namespace livesec::svc

@@ -1,5 +1,5 @@
 // Shared fuzzy-hash verdict cache (DESIGN.md §11): FuzzyDigest units, the
-// sharded store's hit/miss/invalidate semantics, payload digest memoization,
+// store's hit/miss/invalidate semantics, payload digest memoization,
 // and the end-to-end behavior — the Nth flow carrying known content skips the
 // SE's engines, malicious content learned on one flow blocks the next at
 // ingress, and policy mutation / signature reload / HA failover all flush
@@ -229,20 +229,21 @@ TEST(VerdictCache, AdvanceEpochToIsMonotonicAndIdempotent) {
   EXPECT_GT(cache.bump_epoch("test"), 5u);
 }
 
-TEST(VerdictCache, FullShardFlushesWholesale) {
+TEST(VerdictCache, FullStoreFlushesWholesale) {
   svc::VerdictCache::Config config;
-  config.shards = 1;
-  config.capacity_per_shard = 4;
+  config.capacity = 4;
   svc::VerdictCache cache(config);
 
+  // Inserts 5 and 9 each find the store full and flush it first.
   for (std::uint8_t i = 0; i < 9; ++i) {
     const FuzzyDigest d = FuzzyDigest::of(patterned_bytes(256, 3, i));
     ASSERT_TRUE(cache.insert(d, svc::CachedVerdict::kBenign, 0, 0, 256));
   }
-  EXPECT_LE(cache.size(), config.capacity_per_shard);
+  EXPECT_EQ(cache.size(), 1u);
   const auto c = cache.counters();
-  EXPECT_GE(c.flushes, 1u);
+  EXPECT_EQ(c.flushes, 2u);
   EXPECT_EQ(c.insertions, 9u);
+  EXPECT_EQ(c.entries, 1u);
 }
 
 TEST(VerdictCache, ExportEntriesCoversCurrentEpochOnly) {
