@@ -4,17 +4,6 @@
 
 namespace livesec::ctrl {
 
-const char* lb_strategy_name(LbStrategy strategy) {
-  switch (strategy) {
-    case LbStrategy::kPolling: return "polling";
-    case LbStrategy::kHash: return "hash";
-    case LbStrategy::kQueuing: return "queuing";
-    case LbStrategy::kMinLoad: return "min_load";
-    case LbStrategy::kWeightedMinLoad: return "weighted_min_load";
-  }
-  return "?";
-}
-
 std::optional<std::uint64_t> LoadBalancer::assign(ServiceRegistry& registry,
                                                   svc::ServiceType service,
                                                   const pkt::FlowKey& flow,

@@ -29,8 +29,6 @@ enum class LbStrategy : std::uint8_t {
   kWeightedMinLoad,  // minimum load / capacity ratio
 };
 
-const char* lb_strategy_name(LbStrategy strategy);
-
 /// Chooses a service element per flow or per user, with sticky assignments:
 /// once a flow (or user) is pinned to an SE, it stays there while the SE is
 /// alive, so an SE sees whole flows (required for stream inspection).
@@ -39,7 +37,6 @@ class LoadBalancer {
   explicit LoadBalancer(LbStrategy strategy = LbStrategy::kMinLoad) : strategy_(strategy) {}
 
   LbStrategy strategy() const { return strategy_; }
-  void set_strategy(LbStrategy strategy) { strategy_ = strategy; }
 
   /// Picks an SE of `service` for the given flow/user. Returns se_id, or
   /// nullopt when the pool is empty. Registers the assignment with the

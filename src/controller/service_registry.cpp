@@ -31,11 +31,6 @@ const SeRecord* ServiceRegistry::find(std::uint64_t se_id) const {
   return it == records_.end() ? nullptr : &it->second;
 }
 
-SeRecord* ServiceRegistry::find_mutable(std::uint64_t se_id) {
-  auto it = records_.find(se_id);
-  return it == records_.end() ? nullptr : &it->second;
-}
-
 const SeRecord* ServiceRegistry::find_by_mac(const MacAddress& mac) const {
   for (const auto& [id, record] : records_) {
     if (record.mac == mac) return &record;

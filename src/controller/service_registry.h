@@ -57,7 +57,6 @@ class ServiceRegistry {
                      PortId port, const svc::OnlineMessage& report, SimTime now);
 
   const SeRecord* find(std::uint64_t se_id) const;
-  SeRecord* find_mutable(std::uint64_t se_id);
   const SeRecord* find_by_mac(const MacAddress& mac) const;
 
   /// All live SEs providing `service` (insertion-ordered by se_id).
