@@ -98,7 +98,7 @@ void SnapshotStore::fold_lease(const DhcpLeaseRecord& lease) {
 void SnapshotStore::fold_switch_down(const SwitchDownRecord& down) {
   if (entries_.erase(key1(Domain::kSwitch, down.dpid)) > 0) ++stats_.entries_erased;
   // Links die with the switch; the LS-uplink hint survives (apply keeps
-  // ls_ports_ so a reconnecting switch routes legacy traffic immediately).
+  // the learned uplink so a reconnecting switch routes legacy traffic immediately).
   const auto begin = entries_.lower_bound(Key{static_cast<std::uint8_t>(Domain::kLink), {}});
   for (auto it = begin;
        it != entries_.end() && it->first.domain == static_cast<std::uint8_t>(Domain::kLink);) {
