@@ -9,7 +9,7 @@
 //         (the in-flight packet count of ~1k active flows), ~1M dispatches
 //         total, callbacks capturing ~32 bytes (what a link
 //         delivery captures). Run once on the production kernel and once on
-//         the pre-calendar reference heap (reference_event_queue.h), so the
+//         the std::function reference heap (reference_event_queue.h), so the
 //         speedup ratio is reproducible on any host.
 //
 //   B-K2  fit_redirect — FIT-building-style deployment (Figure 6): clients
@@ -223,7 +223,7 @@ int main(int argc, char** argv) {
                 kernel_eps, static_cast<unsigned long long>(dispatched));
     std::printf("%-34s %12.0f events/s  (%llu dispatched)\n", "drain 1M (reference heap)",
                 ref_eps, static_cast<unsigned long long>(ref_dispatched));
-    std::printf("%-34s %11.2fx\n", "calendar vs reference heap", speedup);
+    std::printf("%-34s %11.2fx\n", "kernel vs reference heap", speedup);
     std::printf("%-34s %12.0f packets/s wall\n", "FIT redirect end-to-end", fit.packets_per_sec_wall);
     std::printf("%-34s %12.0f events/s wall\n", "FIT redirect kernel rate", fit.events_per_sec_wall);
     std::printf("%-34s %12.2f events/packet\n", "FIT redirect kernel cost", fit.events_per_packet);

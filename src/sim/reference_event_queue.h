@@ -1,10 +1,12 @@
-// Reference event-queue model: the pre-calendar binary heap, kept verbatim.
+// Reference event-queue model: the original binary heap, kept verbatim.
 //
 // This is NOT used by the production kernel. It exists for two consumers:
-//   - the randomized property test, which checks that the calendar queue in
-//     event_queue.h dispatches the exact same (time, seq) sequence;
-//   - bench_kernel, which reports the calendar queue's speedup against this
-//     heap on identical workloads, so the ratio is reproducible on any host.
+//   - the randomized property test, which checks that the key heap over a
+//     callback slab in event_queue.h dispatches the exact same (time, seq)
+//     sequence;
+//   - bench_kernel, which reports the production queue's speedup against
+//     this heap on identical workloads, so the ratio is reproducible on any
+//     host.
 //
 // It deliberately preserves the old costs: type-erased std::function events,
 // O(log n) heap push/pop, and the copy-out pop (priority_queue::top() is
@@ -27,7 +29,7 @@ struct ReferenceEvent {
   std::function<void()> action;
 };
 
-/// Min-heap of events ordered by (time, seq) — the pre-PR-2 EventQueue.
+/// Min-heap of events ordered by (time, seq) — the original EventQueue.
 class ReferenceEventQueue {
  public:
   std::uint64_t push(SimTime time, std::function<void()> action) {

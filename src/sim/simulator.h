@@ -10,7 +10,7 @@
 
 namespace livesec::sim {
 
-/// Discrete-event simulator: one virtual clock over one calendar queue.
+/// Discrete-event simulator: one virtual clock over one event queue.
 ///
 /// Every network element schedules its work through one `Simulator`, which
 /// guarantees a globally ordered, reproducible execution: events run in
