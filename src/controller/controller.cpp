@@ -1542,14 +1542,9 @@ void Controller::audit_switch_stats(DatapathId dpid, const of::StatsReply& reply
       continue;
     }
     // Forwarding entry. A blocked flow must not forward: overwrite the
-    // entry with a drop in place (same match/priority).
+    // entry with a bounded drop in place (same match, flow priority).
     if (blocked) {
-      of::FlowMod mod;
-      mod.command = of::FlowModCommand::kModifyStrict;
-      mod.entry.match = fs.match;
-      mod.entry.priority = fs.priority;
-      mod.entry.actions = of::drop();
-      send_flow_mod(dpid, mod);
+      install_drop(dpid, fs.match.in_port_value(), key, of::FlowModCommand::kModifyStrict);
       ++reconcile_report_.drops_reinstalled;
       dropped_here.insert(key);
       continue;

@@ -347,6 +347,50 @@ TEST(IngressDrop, AggregateLimitDropExpiresWhereTheIngressEntryHadGone) {
   EXPECT_EQ(ovs.flow_table().size(), 0u);
 }
 
+TEST(IngressDrop, ReconciliationDropExpiresWhereTheForwardingEntryHadGone) {
+  FastPathHarness net;
+  net.bring_up();
+  net.start_flow(1000);
+  // The flow's ingress forwarding entry, as the previous active installed it.
+  const pkt::FlowKey key = pkt::FlowKey::from_packet(*net.flow_packet(1000));
+  const of::Match ingress = of::Match::exact(0, key);
+  std::optional<of::FlowEntry> forwarding;
+  for (const of::FlowMod& fm : net.sw1.flow_mods) {
+    if (fm.command == of::FlowModCommand::kAdd && fm.entry.match == ingress) forwarding = fm.entry;
+  }
+  ASSERT_TRUE(forwarding.has_value());
+
+  // After a failover the promoted controller knows the flow as blocked, and
+  // the audit finds that entry still forwarding: it rewrites it as a drop.
+  ASSERT_TRUE(net.controller.apply_replicated(ha::FlowBlockedRecord{key, 1, 0}));
+  net.controller.begin_reconciliation();
+  net.settle();
+  net.sw1.flow_mods.clear();
+  of::StatsReply reply;
+  reply.flows.push_back(of::FlowStats{forwarding->match, forwarding->priority, 0, 0, false});
+  net.ch1.send_to_controller(reply);
+  net.settle();
+  EXPECT_EQ(net.controller.reconcile_report().drops_reinstalled, 1u);
+  const std::vector<of::FlowMod> drops = drop_mods(net.sw1);
+  ASSERT_EQ(drops.size(), 1u);
+  EXPECT_EQ(drops[0].command, of::FlowModCommand::kModifyStrict);
+  EXPECT_EQ(drops[0].entry.match, forwarding->match);
+  EXPECT_EQ(drops[0].entry.priority, forwarding->priority);
+  const SimTime bound = ctrl::Controller::Config{}.flow_idle_timeout * 3;
+  EXPECT_EQ(drops[0].entry.idle_timeout, bound);
+
+  // If the forwarding entry idle-expired before the modify arrived, the
+  // modify falls back to an insert. That drop must expire in turn.
+  sim::Simulator sim;
+  sw::OpenFlowSwitch ovs(sim, "ovs1", 1);
+  ovs.handle_controller_message(of::Message{drops[0]});
+  ASSERT_EQ(ovs.flow_table().size(), 1u);
+  ovs.flow_table().expire(bound - kSecond);
+  EXPECT_EQ(ovs.flow_table().size(), 1u);
+  ovs.flow_table().expire(bound);
+  EXPECT_EQ(ovs.flow_table().size(), 0u);
+}
+
 TEST(ControllerFastPath, DuplicatePacketInsCollapseIntoOneSetup) {
   FastPathHarness net;
   net.lldp(net.ch1, 3, 2, 4);
