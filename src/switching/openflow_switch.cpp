@@ -80,38 +80,28 @@ void OpenFlowSwitch::process(PortId in_port, pkt::PacketPtr packet) {
 
 void OpenFlowSwitch::execute_actions(const of::ActionList& actions, PortId in_port,
                                      pkt::PacketPtr packet) {
-  // Copy-on-write header rewrite: consecutive set-field actions share ONE
-  // pooled copy of the packet (the common redirect entry rewrites both MACs,
-  // paper §IV.A). The copy stays privately mutable only until it is sent or
-  // punted — after that it may be referenced elsewhere, so the next rewrite
-  // takes a fresh copy.
-  pkt::Packet* mut = nullptr;
-  const auto mutable_packet = [&]() -> pkt::Packet& {
-    if (mut == nullptr) {
-      auto copy = pkt::pooled_packet(pkt::Packet(*packet));
-      mut = copy.get();
-      packet = std::move(copy);
-    }
-    return *mut;
-  };
+  // Header rewrites go through pkt::writable_packet: in place while this hop
+  // holds the only reference, copy-on-write once an output or punt has
+  // shared the packet. The last action hands its reference on.
   for (const of::Action& action : actions) {
     if (const auto* out = std::get_if<of::ActionOutput>(&action)) {
       ++packets_forwarded_;
-      send(out->port, packet);
-      mut = nullptr;
+      if (&action == &actions.back()) {
+        send(out->port, std::move(packet));
+      } else {
+        send(out->port, packet);
+      }
     } else if (std::get_if<of::ActionFlood>(&action)) {
       for (PortId p = 0; p < port_count(); ++p) {
         if (p != in_port) send(p, packet);
       }
       ++packets_forwarded_;
-      mut = nullptr;
     } else if (std::get_if<of::ActionController>(&action)) {
       punt_to_controller(in_port, packet);
-      mut = nullptr;
     } else if (const auto* set_dst = std::get_if<of::ActionSetDlDst>(&action)) {
-      mutable_packet().eth.dst = set_dst->mac;
+      pkt::writable_packet(packet).eth.dst = set_dst->mac;
     } else if (const auto* set_src = std::get_if<of::ActionSetDlSrc>(&action)) {
-      mutable_packet().eth.src = set_src->mac;
+      pkt::writable_packet(packet).eth.src = set_src->mac;
     } else if (std::get_if<of::ActionDrop>(&action)) {
       return;
     }

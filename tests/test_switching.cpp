@@ -288,6 +288,59 @@ TEST(OpenFlowSwitch, SetDlDstRewritesBeforeOutput) {
   EXPECT_EQ(p->eth.dst, MacAddress::from_uint64(2));  // original untouched
 }
 
+TEST(OpenFlowSwitch, UniquelyHeldPacketIsRewrittenInPlace) {
+  OfFixture f;
+  auto p = frame(1, 2);
+  const MacAddress se_mac = MacAddress::from_uint64(0x5E);
+  of::FlowMod mod;
+  mod.entry.match = of::Match::exact(0, pkt::FlowKey::from_packet(*p));
+  mod.entry.actions = {of::ActionSetDlSrc{se_mac}, of::ActionSetDlDst{se_mac},
+                       of::ActionOutput{1}};
+  f.channel.send_to_switch(mod);
+  f.sim.run();
+
+  // Nothing but the hop holds the packet, so no copy is made.
+  const pkt::Packet* sent = p.get();
+  f.host.emit(std::move(p));
+  f.sim.run();
+  ASSERT_EQ(f.peer.received.size(), 1u);
+  EXPECT_EQ(f.peer.received[0].get(), sent);
+  EXPECT_EQ(f.peer.received[0]->eth.src, se_mac);
+  EXPECT_EQ(f.peer.received[0]->eth.dst, se_mac);
+}
+
+TEST(OpenFlowSwitch, RewriteAfterOutputLeavesTheSentPacketAlone) {
+  sim::Simulator sim;
+  OpenFlowSwitch sw(sim, "ovs", 1);
+  RecordingController controller;
+  of::SecureChannel channel(sim, sw, controller);
+  Endpoint host(sim, "host"), one(sim, "one"), two(sim, "two");
+  std::vector<std::unique_ptr<sim::Link>> links;
+  links.push_back(sim::connect(sim, host.port(0), sw.add_port(PortRole::kNetworkPeriphery)));
+  links.push_back(sim::connect(sim, one.port(0), sw.add_port(PortRole::kLegacySwitching)));
+  links.push_back(sim::connect(sim, two.port(0), sw.add_port(PortRole::kLegacySwitching)));
+  sw.connect_controller(channel);
+  sim.run();
+
+  auto p = frame(1, 2);
+  const MacAddress a = MacAddress::from_uint64(0xA);
+  const MacAddress b = MacAddress::from_uint64(0xB);
+  of::FlowMod mod;
+  mod.entry.match = of::Match::exact(0, pkt::FlowKey::from_packet(*p));
+  mod.entry.actions = {of::ActionSetDlDst{a}, of::ActionOutput{1}, of::ActionSetDlDst{b},
+                       of::ActionOutput{2}};
+  channel.send_to_switch(mod);
+  sim.run();
+
+  host.emit(std::move(p));
+  sim.run();
+  ASSERT_EQ(one.received.size(), 1u);
+  ASSERT_EQ(two.received.size(), 1u);
+  EXPECT_EQ(one.received[0]->eth.dst, a);
+  EXPECT_EQ(two.received[0]->eth.dst, b);
+  EXPECT_NE(one.received[0].get(), two.received[0].get());
+}
+
 TEST(OpenFlowSwitch, DropActionDiscards) {
   OfFixture f;
   auto p = frame(1, 2);
