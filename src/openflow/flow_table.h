@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <map>
 #include <optional>
@@ -9,7 +10,8 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/hash.h"
+#include "common/flat_hash.h"
+#include "common/small_vector.h"
 #include "common/types.h"
 #include "openflow/action.h"
 #include "openflow/match.h"
@@ -121,15 +123,35 @@ class FlowTable {
     pkt::FlowKey key;
     friend bool operator==(const ExactKey&, const ExactKey&) = default;
   };
+  /// Word-wise pre-hash: MACs loaded as words, one multiply per word.
+  /// FlatHashMap finishes it with splitmix64, so this only has to spread
+  /// every field into the word (FlowKey::hash() mixes fully on its own).
   struct ExactKeyHash {
-    std::size_t operator()(const ExactKey& k) const noexcept {
-      return static_cast<std::size_t>(splitmix64(hash_combine(k.key.hash(), k.in_port)));
+    static std::uint64_t mac_word(const MacAddress& mac) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, mac.bytes().data(), 6);
+      return w;
+    }
+    std::uint64_t operator()(const ExactKey& k) const noexcept {
+      const pkt::FlowKey& f = k.key;
+      const std::uint64_t w0 = mac_word(f.dl_src) | (std::uint64_t{f.vlan_id} << 48);
+      const std::uint64_t w1 = mac_word(f.dl_dst) | (std::uint64_t{f.dl_type} << 48);
+      const std::uint64_t w2 = (std::uint64_t{f.nw_src.value()} << 32) | f.nw_dst.value();
+      const std::uint64_t w3 = (std::uint64_t{k.in_port} << 40) |
+                               (std::uint64_t{f.nw_proto} << 32) |
+                               (std::uint64_t{f.tp_src} << 16) | f.tp_dst;
+      std::uint64_t h = w0 * 0x9e3779b97f4a7c15ull;
+      h = (h ^ w1) * 0xbf58476d1ce4e5b9ull;
+      h = (h ^ w2) * 0x94d049bb133111ebull;
+      return h ^ w3;
     }
   };
 
   struct Slot {
     FlowEntry entry;
-    std::uint64_t seq = 0;  // install order; stable across OFPFC_ADD replace
+    /// Install order, stable across OFPFC_ADD replace; also the slot's key
+    /// in `slots_`.
+    std::uint64_t seq = 0;
     bool exact = false;
     /// Epoch of this slot's live timer-wheel record; a fired record whose
     /// epoch doesn't match is stale (entry was replaced) and is skipped.
@@ -147,20 +169,22 @@ class FlowTable {
   /// re-files entries whose idle clock was refreshed since filing.
   std::size_t advance(SimTime now);
   /// Unlinks a slot from its tier index (exact hash or wildcard order).
-  void detach(std::uint64_t id, const Slot& slot);
+  void detach(const Slot* slot);
   /// Removes one entry, firing the removal callback with `reason`.
   void remove_slot(std::uint64_t id, RemovalReason reason);
   /// Table-order comparison (priority desc, specificity desc, seq asc).
   bool ordered_before(const Slot& a, const Slot& b) const;
 
-  /// All live entries, keyed by a unique install id (node-stable).
+  /// All live entries, keyed by a unique install id. Nodes are stable, so
+  /// both tiers index them by pointer.
   std::unordered_map<std::uint64_t, Slot> slots_;
-  /// Exact tier: (in_port, 9-tuple) -> ids, sorted by priority desc. Almost
-  /// always one id; a second appears when e.g. a security drop (priority
+  /// Exact tier: (in_port, 9-tuple) -> slots, sorted by priority desc, so a
+  /// lookup is one open-addressing probe that lands on the winner. Almost
+  /// always one slot; a second appears when e.g. a security drop (priority
   /// 200) overlays a forwarding entry (priority 100) for the same flow.
-  std::unordered_map<ExactKey, std::vector<std::uint64_t>, ExactKeyHash> exact_index_;
+  FlatHashMap<ExactKey, SmallVector<Slot*, 2>, ExactKeyHash> exact_index_;
   /// Wildcard tier in table order (priority desc, specificity desc, seq asc).
-  std::vector<std::uint64_t> wild_order_;
+  std::vector<Slot*> wild_order_;
   /// Timer wheel: deadline -> (id, epoch) records filed at that deadline.
   std::map<SimTime, std::vector<std::pair<std::uint64_t, std::uint32_t>>> wheel_;
 

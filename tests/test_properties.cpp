@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
+#include <tuple>
 
 #include "common/random.h"
 #include "controller/load_balancer.h"
@@ -120,6 +122,142 @@ TEST(FlowTableModel, RandomOperationsAgreeWithReference) {
     }
   }
   EXPECT_EQ(table.size(), model.size());
+}
+
+// The exact tier at campus size: 12k keys, each with a forwarding entry
+// (priority 100) and often a drop overlay (priority 200), grown, churned and
+// shrunk so the flat index rehashes and back-shifts while every answer is
+// checked against an ordered-map reference. A few wildcard entries straddle
+// both priorities, so shadowing of exact hits stays covered too.
+TEST(FlowTableModel, LargeExactTierAgreesWithReferenceUnderChurn) {
+  constexpr std::uint64_t kKeys = 12000;
+  const auto key_of = [](std::uint64_t i) {
+    pkt::FlowKey key;
+    key.dl_src = MacAddress::from_uint64(0x020000000000ull + i);
+    key.dl_dst = MacAddress::from_uint64(0x020000000000ull + (i * 7919) % kKeys);
+    key.dl_type = 0x0800;
+    key.nw_src = Ipv4Address(static_cast<std::uint32_t>((10u << 24) | i));
+    key.nw_dst = Ipv4Address(static_cast<std::uint32_t>((10u << 24) | (i % 251)));
+    key.nw_proto = i % 2 == 0 ? 6 : 17;
+    key.tp_src = static_cast<std::uint16_t>(1024 + i % 4000);
+    key.tp_dst = static_cast<std::uint16_t>(80 + i % 3);
+    return key;
+  };
+  const auto port_of = [](std::uint64_t i) { return static_cast<PortId>(i % 3); };
+
+  Rng rng(12000);
+  of::FlowTable table;
+  // Reference: key index -> priority -> output port.
+  std::map<std::uint64_t, std::map<std::uint16_t, int>> exact;
+  std::vector<ModelEntry> wild;
+  std::uint64_t seq = 0;
+  std::size_t exact_entries = 0;
+
+  const auto add_exact = [&](std::uint64_t i, std::uint16_t priority, int output, SimTime now) {
+    of::FlowEntry entry;
+    entry.match = of::Match::exact(port_of(i), key_of(i));
+    entry.priority = priority;
+    entry.actions = of::output_to(static_cast<PortId>(output));
+    table.add(entry, now);
+    auto& ranked = exact[i];
+    if (!ranked.contains(priority)) ++exact_entries;
+    ranked[priority] = output;
+  };
+  const auto remove_exact = [&](std::uint64_t i, std::uint16_t priority, SimTime now) {
+    const std::size_t removed =
+        table.remove_strict(of::Match::exact(port_of(i), key_of(i)), priority, now);
+    const auto it = exact.find(i);
+    std::size_t want = 0;
+    if (it != exact.end() && it->second.erase(priority) == 1) {
+      want = 1;
+      --exact_entries;
+      if (it->second.empty()) exact.erase(it);
+    }
+    return removed == want;
+  };
+  const auto check = [&](std::uint64_t i, PortId in_port, SimTime now) {
+    const pkt::FlowKey key = key_of(i);
+    const of::FlowEntry* got = table.lookup(in_port, key, 100, now);
+    if (table.peek(in_port, key, now) != got) return false;
+    int want_output = -1;
+    std::uint16_t want_priority = 0;
+    const auto it = exact.find(i);
+    if (it != exact.end() && in_port == port_of(i)) {
+      want_priority = it->second.rbegin()->first;
+      want_output = it->second.rbegin()->second;
+    }
+    // An exact entry is maximally specific: only a strictly higher-priority
+    // wildcard entry shadows it, the oldest such one winning ties.
+    const ModelEntry* best_wild = model_lookup(wild, in_port, key);
+    if (best_wild != nullptr && (want_output < 0 || best_wild->priority > want_priority)) {
+      want_priority = best_wild->priority;
+      want_output = best_wild->output;
+    }
+    if ((got != nullptr) != (want_output >= 0)) return false;
+    if (got == nullptr) return true;
+    return got->priority == want_priority &&
+           std::get<of::ActionOutput>(got->actions[0]).port == static_cast<PortId>(want_output);
+  };
+
+  // Two wildcard entries: one below and one above the drop overlay.
+  for (const auto& [priority, tp_dst, output] :
+       {std::tuple<std::uint16_t, std::uint16_t, int>{150, 81, 901}, {250, 82, 902}}) {
+    of::FlowEntry entry;
+    entry.match.nw_proto(6).tp_dst(tp_dst);
+    entry.priority = priority;
+    entry.actions = of::output_to(static_cast<PortId>(output));
+    table.add(entry, 0);
+    wild.push_back(ModelEntry{entry.match, priority, output, seq++});
+  }
+
+  SimTime now = 1;
+  // Grow: every key gets a forwarding entry, every other one a drop overlay.
+  for (std::uint64_t i = 0; i < kKeys; ++i) {
+    add_exact(i, 100, static_cast<int>(i % 64), now);
+    if (i % 2 == 0) add_exact(i, 200, 64 + static_cast<int>(i % 64), now);
+  }
+  ASSERT_EQ(table.size(), exact_entries + wild.size());
+  ASSERT_GE(exact.size(), 10000u);
+  for (std::uint64_t i = 0; i < kKeys; i += 7) ASSERT_TRUE(check(i, port_of(i), now)) << i;
+
+  // Churn: mostly removals first (shrinking past half), then mostly adds.
+  for (int step = 0; step < 60000; ++step) {
+    ++now;
+    const bool shrinking = step < 30000;
+    const std::uint64_t i = rng.uniform(0, kKeys - 1);
+    const std::uint16_t priority = rng.chance(0.5) ? 100 : 200;
+    const double dice = rng.uniform01();
+    if (dice < (shrinking ? 0.45 : 0.15)) {
+      ASSERT_TRUE(remove_exact(i, priority, now)) << "step " << step;
+    } else if (dice < 0.6) {
+      add_exact(i, priority, static_cast<int>(rng.uniform(0, 127)), now);
+    } else if (dice < 0.62) {
+      const int output = static_cast<int>(rng.uniform(0, 127));
+      const std::size_t updated = table.modify_strict(of::Match::exact(port_of(i), key_of(i)),
+                                                      priority, of::output_to(
+                                                                    static_cast<PortId>(output)));
+      const auto it = exact.find(i);
+      const bool present = it != exact.end() && it->second.contains(priority);
+      if (present) it->second[priority] = output;
+      ASSERT_EQ(updated, present ? 1u : 0u) << "step " << step;
+    } else if (dice < 0.65) {
+      // Non-strict delete of one exact key drops both priorities.
+      const std::size_t removed =
+          table.remove_matching(of::Match::exact(port_of(i), key_of(i)), now);
+      const auto it = exact.find(i);
+      const std::size_t want = it == exact.end() ? 0 : it->second.size();
+      if (it != exact.end()) {
+        exact_entries -= want;
+        exact.erase(it);
+      }
+      ASSERT_EQ(removed, want) << "step " << step;
+    } else {
+      const PortId in_port = rng.chance(0.9) ? port_of(i) : static_cast<PortId>(rng.uniform(0, 2));
+      ASSERT_TRUE(check(i, in_port, now)) << "step " << step << " key " << i;
+    }
+    ASSERT_EQ(table.size(), exact_entries + wild.size()) << "step " << step;
+  }
+  for (std::uint64_t i = 0; i < kKeys; ++i) ASSERT_TRUE(check(i, port_of(i), now)) << i;
 }
 
 /// Reference entry replicating the pre-fast-path table semantics including
