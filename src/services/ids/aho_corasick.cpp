@@ -1,5 +1,6 @@
 #include "services/ids/aho_corasick.h"
 
+#include <algorithm>
 #include <cassert>
 #include <queue>
 
@@ -61,6 +62,23 @@ void AhoCorasick::build() {
   for (int c = 0; c < 256; ++c) {
     root_advances_[c] = nodes_[0].next[c] != 0 ? 1 : 0;
   }
+
+  // Phase 3: the root window skip, for pattern sets whose shortest pattern
+  // has m >= 3 bytes (below that a jump of m - 1 would not beat the skim).
+  std::size_t m = patterns_.empty() ? 0 : patterns_[0].size();
+  for (const std::string& p : patterns_) m = std::min(m, p.size());
+  skip_ = m >= 3 ? m - 1 : 0;
+  bigrams_.clear();
+  if (skip_ != 0) {
+    bigrams_.assign(65536 / 64, 0);
+    for (const std::string& p : patterns_) {
+      for (std::size_t j = 0; j + 1 < m; ++j) {
+        const unsigned bit =
+            (unsigned{static_cast<std::uint8_t>(p[j])} << 8) | static_cast<std::uint8_t>(p[j + 1]);
+        bigrams_[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+      }
+    }
+  }
   built_ = true;
 }
 
@@ -73,14 +91,30 @@ std::size_t AhoCorasick::scan_stream(std::span<const std::uint8_t> data, std::ui
                                      std::vector<Hit>& hits) const {
   assert(built_);
   const Node* nodes = nodes_.data();
+  const std::size_t skip = skip_;
   std::size_t found = 0;
   std::size_t i = 0;
   const std::size_t n = data.size();
   while (i < n) {
     if (state == 0) {
-      // Root fast path: skim bytes no pattern starts with (they loop on the
-      // root with no output — the root matches no empty pattern).
-      while (i < n && root_advances_[data[i]] == 0) ++i;
+      // Root fast paths; neither can miss a hit or change the state.
+      //  - Window skip: an occurrence starting anywhere in [i, i + m - 2]
+      //    covers bytes i + m - 2 and i + m - 1 inside its first m bytes.
+      //    If that bigram is in no pattern's first m bytes, none starts
+      //    there, so jump m - 1 bytes and stay at the root. (A stream cut
+      //    inside a skipped window only loses prefixes that cannot
+      //    complete.)
+      //  - Skim: bytes no pattern starts with loop on the root with no
+      //    output (the root matches no empty pattern).
+      while (true) {
+        if (skip != 0 && i + skip < n && !has_bigram(data[i + skip - 1], data[i + skip])) {
+          i += skip;
+        } else if (i < n && root_advances_[data[i]] == 0) {
+          ++i;
+        } else {
+          break;
+        }
+      }
       if (i == n) break;
     }
     state = static_cast<std::uint32_t>(nodes[state].next[data[i]]);
@@ -94,21 +128,8 @@ std::size_t AhoCorasick::scan_stream(std::span<const std::uint8_t> data, std::ui
 }
 
 bool AhoCorasick::contains_any(std::span<const std::uint8_t> data) const {
-  assert(built_);
-  const Node* nodes = nodes_.data();
-  std::uint32_t state = 0;
-  std::size_t i = 0;
-  const std::size_t n = data.size();
-  while (i < n) {
-    if (state == 0) {
-      while (i < n && root_advances_[data[i]] == 0) ++i;
-      if (i == n) break;
-    }
-    state = static_cast<std::uint32_t>(nodes[state].next[data[i]]);
-    if (!nodes[state].output.empty()) return true;
-    ++i;
-  }
-  return false;
+  std::vector<Hit> hits;
+  return scan(data, hits) > 0;
 }
 
 }  // namespace livesec::svc::ids

@@ -30,11 +30,14 @@ class AhoCorasick {
   bool built() const { return built_; }
   std::size_t pattern_count() const { return patterns_.size(); }
   const std::string& pattern(std::uint32_t id) const { return patterns_[id]; }
+  /// Bytes the root window skip jumps (m - 1 for a shortest pattern of
+  /// m >= 3 bytes), or 0 when the set keeps the plain walk.
+  std::size_t window_skip() const { return skip_; }
 
   /// Scans `data`, appending every match to `hits`. Returns match count.
   std::size_t scan(std::span<const std::uint8_t> data, std::vector<Hit>& hits) const;
 
-  /// Convenience: true if any pattern occurs in `data`.
+  /// Convenience: true if any pattern occurs in `data` (runs scan()).
   bool contains_any(std::span<const std::uint8_t> data) const;
 
   /// Streaming scan: feed chunks with persistent state across calls so
@@ -52,6 +55,11 @@ class AhoCorasick {
     }
   };
 
+  bool has_bigram(std::uint8_t a, std::uint8_t b) const {
+    const unsigned bit = (unsigned{a} << 8) | b;
+    return ((bigrams_[bit >> 6] >> (bit & 63)) & 1) != 0;
+  }
+
   std::vector<std::string> patterns_;
   std::vector<Node> nodes_;
   /// root_advances_[b] iff byte b moves the automaton off the root. While at
@@ -60,6 +68,12 @@ class AhoCorasick {
   /// dependent-load table walk — no pattern starts with them, so no hit or
   /// state change is possible.
   std::uint8_t root_advances_[256] = {};
+  /// Window skip at the root (Wu & Manber's multi-pattern shift): m - 1,
+  /// where m >= 3 is the shortest pattern's length; 0 disables it.
+  std::size_t skip_ = 0;
+  /// 64 Ki-bit set of every bigram inside some pattern's first m bytes.
+  /// Allocated (8 KB) only when skip_ != 0.
+  std::vector<std::uint64_t> bigrams_;
   bool built_ = false;
 };
 

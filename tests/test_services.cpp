@@ -3,6 +3,7 @@
 // ServiceElement processing pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 
 #include "services/ids/aho_corasick.h"
@@ -314,6 +315,124 @@ TEST(AhoCorasick, AgreesWithNaiveSearchOnRandomInput) {
     ac.scan(std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size()), hits);
     EXPECT_EQ(hits.size(), naive) << "trial " << trial;
   }
+}
+
+namespace {
+
+std::span<const std::uint8_t> bytes_of(const std::string& text) {
+  return std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
+}
+
+/// Every (end offset, pattern id) occurrence, found by brute force.
+std::vector<std::pair<std::size_t, std::uint32_t>> naive_hits(
+    const std::string& text, const std::vector<std::string>& patterns) {
+  std::vector<std::pair<std::size_t, std::uint32_t>> out;
+  for (std::uint32_t id = 0; id < patterns.size(); ++id) {
+    const std::string& p = patterns[id];
+    for (std::size_t pos = 0; pos + p.size() <= text.size(); ++pos) {
+      if (text.compare(pos, p.size(), p) == 0) out.emplace_back(pos + p.size(), id);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Streams `text` through `ac` in chunks cut at `cuts`; hits carry stream
+/// offsets, as the IDS engine computes them.
+std::vector<std::pair<std::size_t, std::uint32_t>> stream_hits(
+    const ids::AhoCorasick& ac, const std::string& text, const std::vector<std::size_t>& cuts) {
+  std::vector<std::pair<std::size_t, std::uint32_t>> out;
+  std::uint32_t state = 0;
+  std::size_t begin = 0;
+  std::vector<ids::AhoCorasick::Hit> hits;
+  for (std::size_t k = 0; k <= cuts.size(); ++k) {
+    const std::size_t end = k < cuts.size() ? cuts[k] : text.size();
+    hits.clear();
+    ac.scan_stream(bytes_of(text).subspan(begin, end - begin), state, hits);
+    for (const auto& hit : hits) out.emplace_back(begin + hit.end_offset, hit.pattern_id);
+    begin = end;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+}  // namespace
+
+// Property: with the root window skip engaged (every pattern >= 3 bytes),
+// streamed hits equal brute force, across alphabets where bigrams of the
+// patterns are everywhere (3 symbols), common (8) and rare (256), with
+// planted occurrences and random chunk cuts.
+TEST(AhoCorasick, WindowSkipAgreesWithNaiveSearchAcrossChunks) {
+  std::mt19937 rng(4242);
+  int trials = 0;
+  int skipping = 0;
+  for (const unsigned alphabet : {3u, 8u, 256u}) {
+    for (int t = 0; t < 1000; ++t, ++trials) {
+      const auto symbol = [&] {
+        return static_cast<char>(alphabet == 256 ? rng() % 256 : 'a' + rng() % alphabet);
+      };
+      std::vector<std::string> patterns(1 + rng() % 6);
+      for (auto& p : patterns) {
+        p.resize(3 + rng() % 5);  // 3..7 bytes
+        for (char& c : p) c = symbol();
+      }
+      ids::AhoCorasick ac;
+      for (const auto& p : patterns) ac.add_pattern(p);
+      ac.build();
+      if (ac.window_skip() != 0) ++skipping;
+
+      std::string text(rng() % 400, '\0');
+      for (char& c : text) c = symbol();
+      for (int k = static_cast<int>(rng() % 4); k > 0 && !text.empty(); --k) {
+        const std::string& p = patterns[rng() % patterns.size()];
+        const std::size_t at = rng() % text.size();
+        text.replace(at, std::min(p.size(), text.size() - at), p.substr(0, text.size() - at));
+      }
+      std::vector<std::size_t> cuts;
+      for (int k = static_cast<int>(rng() % 6); k > 0 && !text.empty(); --k) {
+        cuts.push_back(rng() % (text.size() + 1));
+      }
+      std::sort(cuts.begin(), cuts.end());
+      ASSERT_EQ(stream_hits(ac, text, cuts), naive_hits(text, patterns))
+          << "alphabet " << alphabet << " trial " << t;
+    }
+  }
+  EXPECT_EQ(trials, 3000);
+  EXPECT_EQ(skipping, trials);  // every set's shortest pattern has >= 3 bytes
+}
+
+// A pattern whose first bytes sit in the last window of one chunk, where no
+// bigram ahead can be read, and whose rest arrives in the next chunk.
+TEST(AhoCorasick, WindowSkipKeepsPatternSplitAtChunkTail) {
+  ids::AhoCorasick ac;
+  ac.add_pattern("ATTACK");
+  ac.build();
+  ASSERT_EQ(ac.window_skip(), 5u);
+  for (std::size_t head = 1; head < 6; ++head) {
+    const std::string text = std::string(37, '.') + "ATTACK" + std::string(11, '.');
+    const std::size_t cut = 37 + head;
+    EXPECT_EQ(stream_hits(ac, text, {cut}),
+              (std::vector<std::pair<std::size_t, std::uint32_t>>{{43, 0}}))
+        << "head " << head;
+  }
+}
+
+// One 2-byte pattern disables the skip for the whole set (m - 1 = 1 would
+// not beat the skim), and the plain walk finds every occurrence.
+TEST(AhoCorasick, TwoBytePatternKeepsThePlainWalk) {
+  const std::vector<std::string> patterns = {"id", "BOTNET", "id=7"};
+  ids::AhoCorasick ac;
+  for (const auto& p : patterns) ac.add_pattern(p);
+  ac.build();
+  EXPECT_EQ(ac.window_skip(), 0u);
+  const std::string text = "xx id=7 BOTNET-CHECKIN id id=7";
+  EXPECT_EQ(stream_hits(ac, text, {4, 9}), naive_hits(text, patterns));
+
+  ids::AhoCorasick three;
+  three.add_pattern("id=");
+  three.add_pattern("BOTNET");
+  three.build();
+  EXPECT_EQ(three.window_skip(), 2u);
 }
 
 // --- rule parsing ---------------------------------------------------------------
