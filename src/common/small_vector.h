@@ -116,6 +116,13 @@ class SmallVector {
     return data_ + at;
   }
 
+  /// Removes the element at `pos`, shifting the tail down one slot.
+  iterator erase(iterator pos) {
+    std::move(pos + 1, end(), pos);
+    pop_back();
+    return pos;
+  }
+
   friend bool operator==(const SmallVector& a, const SmallVector& b) {
     return a.size_ == b.size_ && std::equal(a.begin(), a.end(), b.begin());
   }
