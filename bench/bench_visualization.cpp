@@ -253,6 +253,7 @@ int main(int argc, char** argv) {
   for (int i = 0; i < 5; ++i) {
     if (i != 3) users[i]->enable_periodic_announce(1 * kSecond);
   }
+  users[3]->disable_periodic_announce();
   web_server.enable_periodic_announce(1 * kSecond);
   ssh_server.enable_periodic_announce(1 * kSecond);
   bt_peer.enable_periodic_announce(1 * kSecond);

@@ -252,9 +252,20 @@ void Network::start(SimTime settle) {
   for (auto& se : service_elements_) se->start();
   // Stagger announcements a little so ARP packet-ins don't all share one
   // timestamp (keeps event ordering realistic; determinism is unaffected).
+  // After the first one a host revalidates at half the controller's host
+  // timeout, so a host that is up stays in the routing table however long
+  // it only receives; a scenario models a host leaving with
+  // Host::disable_periodic_announce().
+  const SimTime refresh = controller_config_.host_timeout / 2;
   SimTime offset = 0;
   for (auto& host : hosts_) {
-    sim_.schedule(offset, [h = host.get()]() { h->announce(); });
+    sim_.schedule(offset, [h = host.get(), refresh]() {
+      if (refresh > 0) {
+        h->enable_periodic_announce(refresh);
+      } else {
+        h->announce();
+      }
+    });
     offset += 100 * kMicrosecond;
   }
   run_for(settle);

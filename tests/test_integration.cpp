@@ -280,17 +280,49 @@ TEST(Integration, IdleHostAgesOutAndRaisesLeave) {
   auto& backbone = network.add_legacy_switch("backbone");
   auto& ovs = network.add_as_switch("ovs", backbone);
   auto& host = network.add_host("h", ovs);
-  (void)host;
   network.start();
   EXPECT_EQ(network.controller().routing().size(), 1u);
 
-  network.run_for(10 * kSecond);  // no traffic: ARP timeout fires
+  host.disable_periodic_announce();  // the host goes silent
+  network.run_for(10 * kSecond);     // no traffic: ARP timeout fires
   EXPECT_EQ(network.controller().routing().size(), 0u);
   EXPECT_GE(network.controller()
                 .events()
                 .query_type(mon::EventType::kHostLeave, 0, INT64_MAX)
                 .size(),
             1u);
+}
+
+// A host that is up but only receives (a CBR sink) keeps its location past
+// the host timeout, so flows into it outlive the timeout too.
+TEST(Integration, ReceivingHostOutlivesTheHostTimeout) {
+  ctrl::Controller::Config config;
+  config.host_timeout = 3 * kSecond;
+  Network network(config);
+  auto& backbone = network.add_legacy_switch("backbone");
+  auto& ovs = network.add_as_switch("ovs", backbone);
+  auto& sender = network.add_host("sender", ovs);
+  auto& sink = network.add_host("sink", ovs);
+  network.start();
+
+  constexpr int kPackets = 40;  // one every 250 ms: 10 s, over three timeouts
+  for (int i = 0; i < kPackets; ++i) {
+    network.sim().schedule(i * 250 * kMillisecond, [&sender, &sink] {
+      sender.send_ip(pkt::PacketBuilder()
+                         .ipv4(sender.ip(), sink.ip(), pkt::IpProto::kUdp)
+                         .udp(1000, 2000)
+                         .payload_size(100)
+                         .build());
+    });
+  }
+  network.run_for(11 * kSecond);
+  EXPECT_EQ(sink.rx_ip_packets(), static_cast<std::uint64_t>(kPackets));
+  EXPECT_EQ(network.controller().routing().size(), 2u);
+  EXPECT_EQ(network.controller()
+                .events()
+                .query_type(mon::EventType::kHostLeave, 0, INT64_MAX)
+                .size(),
+            0u);
 }
 
 TEST(Integration, WirelessUserTrafficFlowsThroughAp) {
