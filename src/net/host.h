@@ -50,7 +50,8 @@ class Host : public sim::Node {
   void announce();
 
   /// Enables periodic gratuitous-ARP refresh (OS-style ARP revalidation) so
-  /// the controller's routing-table entry stays fresh while the host is up.
+  /// the controller's routing-table entry stays fresh while the host is up
+  /// (Network::start() arms it for every host it starts). Announces now.
   /// Call disable_periodic_announce() to simulate the host leaving.
   void enable_periodic_announce(SimTime interval);
   void disable_periodic_announce() { ++announce_epoch_; }

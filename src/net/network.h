@@ -113,9 +113,10 @@ class Network {
   void move_host(Host& host, sw::OpenFlowSwitch& new_switch, double access_bps = 100e6);
 
   // --- lifecycle ---------------------------------------------------------------
-  /// Starts everything: SE daemons, host announcements, controller
-  /// housekeeping; then runs the simulator for `settle` to let discovery,
-  /// registration and ARP learning finish.
+  /// Starts everything: SE daemons, host announcements (repeated at half
+  /// the controller's host timeout), controller housekeeping; then runs the
+  /// simulator for `settle` to let discovery, registration and ARP learning
+  /// finish.
   void start(SimTime settle = 200 * kMillisecond);
 
   /// Advances the simulation by `duration`.
