@@ -1,9 +1,12 @@
-// M1-M9 — Supporting micro-benchmarks (google-benchmark): component costs
+// M1-M10 — Supporting micro-benchmarks (google-benchmark): component costs
 // underlying the system results — flow-table lookup, Aho-Corasick scan, L7
-// classification, policy lookup, packet codec.
+// classification, policy lookup, packet codec, flow-session churn.
 #include <benchmark/benchmark.h>
 
+#include <random>
+
 #include "controller/policy.h"
+#include "controller/session_table.h"
 #include "net/network.h"
 #include "net/traffic.h"
 #include "openflow/flow_table.h"
@@ -389,6 +392,52 @@ void BM_PacketSerializeParse(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 1400);
 }
 BENCHMARK(BM_PacketSerializeParse);
+
+// M10: flow-session churn at service_warm's scale — 32,768 live sessions
+// between 32 clients and 8 services, the first 3 services redirected through
+// an SE (3/8 of flows steered). Each iteration is one setup (the duplicate
+// check of an absent key, then open) and one FlowRemoved (close). Arg 0
+// closes the oldest session, arg 1 a random one.
+void BM_SessionTableChurn(benchmark::State& state) {
+  constexpr std::uint32_t kLive = 32768;
+  const bool random_close = state.range(0) != 0;
+  const auto flow_key = [](std::uint32_t n) {
+    const std::uint32_t client = n % 32;
+    const std::uint32_t service = (n / 32) % 8;
+    pkt::FlowKey key;
+    key.dl_src = MacAddress::from_uint64(0xC0000 + client);
+    key.dl_dst = MacAddress::from_uint64(0x50000 + service);
+    key.dl_type = 0x0800;
+    key.nw_src = Ipv4Address((10u << 24) | ((n >> 16) << 8) | client);
+    key.nw_dst = Ipv4Address(10, 1, 0, static_cast<std::uint8_t>(service));
+    key.nw_proto = static_cast<std::uint8_t>(pkt::IpProto::kTcp);
+    key.tp_src = static_cast<std::uint16_t>(n);
+    key.tp_dst = 80;
+    return key;
+  };
+  ctrl::SessionTable table;
+  std::uint32_t next = 0;
+  const auto setup = [&table, &flow_key, &next]() {
+    const pkt::FlowKey key = flow_key(next++);
+    benchmark::DoNotOptimize(table.find(key));
+    const std::uint32_t service = key.nw_dst.value() & 0xFF;
+    const MacAddress se = MacAddress::from_uint64(0x5E000 + service);
+    return table.open(key, service < 3 ? std::span<const MacAddress>(&se, 1)
+                                       : std::span<const MacAddress>());
+  };
+  std::vector<std::uint32_t> live(kLive);
+  for (std::uint32_t& slot : live) slot = setup();
+  std::mt19937_64 rng(1001);
+  std::uint32_t oldest = 0;
+  for (auto _ : state) {
+    std::uint32_t& victim = live[random_close ? rng() % kLive : oldest++ % kLive];
+    table.close(victim);
+    victim = setup();
+    benchmark::DoNotOptimize(victim);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SessionTableChurn)->ArgName("random_close")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace livesec

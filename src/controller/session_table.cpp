@@ -33,48 +33,86 @@ of::Match SessionTable::entry_match(const FlowRecord& record, const PathStep& st
   return of::Match::exact(step.in_port, k);
 }
 
+bool SessionTable::steers(const FlowRecord& record, const pkt::FlowKey& key) {
+  // with_dl_dst(k, mac) == key exactly when mac is key.dl_dst and k agrees
+  // with key outside dl_dst.
+  if (std::find(record.se_macs.begin(), record.se_macs.end(), key.dl_dst) ==
+      record.se_macs.end()) {
+    return false;
+  }
+  if (with_dl_dst(record.key, key.dl_dst) == key) return true;
+  return with_dl_dst(session_reverse(record.key), key.dl_dst) == key;
+}
+
+void SessionTable::link_host(std::uint32_t link, const MacAddress& host) {
+  HostLink& entry = link_at(link);
+  entry.prev = kNoLink;
+  std::uint32_t* head = host_heads_.find(host.to_uint64());
+  if (head == nullptr) {
+    entry.next = kNoLink;
+    host_heads_.insert_or_assign(host.to_uint64(), link);
+    return;
+  }
+  entry.next = *head;
+  link_at(*head).prev = link;
+  *head = link;
+}
+
+void SessionTable::unlink_host(std::uint32_t link, const MacAddress& host) {
+  const HostLink entry = link_at(link);
+  if (entry.next != kNoLink) link_at(entry.next).prev = entry.prev;
+  if (entry.prev != kNoLink) {
+    link_at(entry.prev).next = entry.next;
+  } else if (entry.next != kNoLink) {
+    *host_heads_.find(host.to_uint64()) = entry.next;
+  } else {
+    host_heads_.erase(host.to_uint64());
+  }
+}
+
 std::uint32_t SessionTable::open(const pkt::FlowKey& key, std::span<const MacAddress> se_macs) {
   std::uint32_t slot = free_;
   if (slot != kNoSlot) {
     free_ = slot_at(slot).next_free;
   } else {
-    if (slots_ % kChunk == 0) chunks_.push_back(std::make_unique<Slot[]>(kChunk));
+    if (slots_ % kChunk == 0) chunks_.push_back(std::make_unique<Chunk>());
     slot = slots_++;
   }
   Slot& entry = slot_at(slot);
-  FlowRecord& record = entry.record.emplace();
+  entry.next_free = kLive;
+  FlowRecord& record = entry.record;
   record.key = key;
   record.cookie = (std::uint64_t{entry.generation} << 32) | slot;
-  sessions_.insert_or_assign(key, slot);
+  // The SE MACs first: the steered index verifies candidates against them.
+  for (const MacAddress& se_mac : se_macs) record.se_macs.push_back(se_mac);
+  sessions_.assign(hash32(key), slot, forward_of(key));
   const pkt::FlowKey reverse = session_reverse(key);
-  if (is_icmp(key)) icmp_reverse_.insert_or_assign(reverse, slot);
+  if (is_icmp(key)) icmp_reverse_.assign(hash32(reverse), slot, icmp_reverse_of(reverse));
   for (const MacAddress& se_mac : se_macs) {
-    steered_.insert_or_assign(with_dl_dst(key, se_mac), slot);
-    steered_.insert_or_assign(with_dl_dst(reverse, se_mac), slot);
-    record.se_macs.push_back(se_mac);
+    for (const pkt::FlowKey& steered : {with_dl_dst(key, se_mac), with_dl_dst(reverse, se_mac)}) {
+      steered_.assign(hash32(steered), slot, steered_of(steered));
+    }
   }
-  for (const MacAddress& host : {key.dl_src, key.dl_dst}) {
-    flows_by_host_[host.to_uint64()].insert(slot);
-  }
+  link_host(slot << 1, key.dl_src);
+  if (key.dl_dst != key.dl_src) link_host((slot << 1) | 1, key.dl_dst);
   return slot;
 }
 
 void SessionTable::close(std::uint32_t slot) {
   Slot& entry = slot_at(slot);
-  const FlowRecord& record = *entry.record;
+  const FlowRecord& record = entry.record;
   const pkt::FlowKey& key = record.key;
   const pkt::FlowKey reverse = session_reverse(key);
-  sessions_.erase(key);
-  if (is_icmp(key)) icmp_reverse_.erase(reverse);
+  sessions_.erase(hash32(key), forward_of(key));
+  if (is_icmp(key)) icmp_reverse_.erase(hash32(reverse), icmp_reverse_of(reverse));
   for (const MacAddress& se_mac : record.se_macs) {
-    steered_.erase(with_dl_dst(key, se_mac));
-    steered_.erase(with_dl_dst(reverse, se_mac));
+    for (const pkt::FlowKey& steered : {with_dl_dst(key, se_mac), with_dl_dst(reverse, se_mac)}) {
+      steered_.erase(hash32(steered), steered_of(steered));
+    }
   }
-  for (const MacAddress& host : {key.dl_src, key.dl_dst}) {
-    SlotSet* set = flows_by_host_.find(host.to_uint64());
-    if (set != nullptr && set->erase(slot) && set->empty()) flows_by_host_.erase(host.to_uint64());
-  }
-  entry.record.reset();
+  unlink_host(slot << 1, key.dl_src);
+  if (key.dl_dst != key.dl_src) unlink_host((slot << 1) | 1, key.dl_dst);
+  entry.record = FlowRecord{};
   // Every cookie this slot handed out so far goes stale.
   if (++entry.generation == 0) entry.generation = 1;
   entry.next_free = free_;
@@ -82,33 +120,41 @@ void SessionTable::close(std::uint32_t slot) {
 }
 
 FlowRecord* SessionTable::resolve_reported(pkt::FlowKey& key) {
-  if (const std::uint32_t* slot = steered_.find(key)) key = at(*slot).key;
+  if (const std::uint32_t slot = steered_.find(hash32(key), steered_of(key)); slot != kNoSlot) {
+    key = at(slot).key;
+  }
   // Fold the reverse direction onto the forward key. Outside ICMP the
   // session owning reverse key R is the one filed under session_reverse(R),
   // which is R.reversed().
-  const std::uint32_t* owner =
-      is_icmp(key) ? icmp_reverse_.find(key) : sessions_.find(key.reversed());
-  if (owner == nullptr) return find(key);
-  FlowRecord& record = at(*owner);
+  std::uint32_t owner = kNoSlot;
+  if (is_icmp(key)) {
+    owner = icmp_reverse_.find(hash32(key), icmp_reverse_of(key));
+  } else {
+    const pkt::FlowKey reversed = key.reversed();
+    owner = sessions_.find(hash32(reversed), forward_of(reversed));
+  }
+  if (owner == kNoSlot) return find(key);
+  FlowRecord& record = at(owner);
   key = record.key;
   return &record;
 }
 
 std::vector<std::uint32_t> SessionTable::slots_of_host(const MacAddress& mac) const {
   std::vector<std::uint32_t> slots;
-  const SlotSet* flows = flows_by_host_.find(mac.to_uint64());
-  if (flows == nullptr) return slots;
-  slots.reserve(flows->size());
-  flows->for_each([&slots](std::uint32_t slot) { slots.push_back(slot); });
+  const std::uint32_t* head = host_heads_.find(mac.to_uint64());
+  if (head == nullptr) return slots;
+  for (std::uint32_t link = *head; link != kNoLink; link = link_at(link).next) {
+    slots.push_back(link >> 1);
+  }
   return slots;
 }
 
 std::vector<std::uint32_t> SessionTable::slots_through_se(std::uint64_t se_id) const {
   std::vector<std::uint32_t> slots;
   for (std::uint32_t slot = 0; slot < slots_; ++slot) {
-    const std::optional<FlowRecord>& record = slot_at(slot).record;
-    if (record && std::find(record->se_ids.begin(), record->se_ids.end(), se_id) !=
-                      record->se_ids.end()) {
+    const Slot& entry = slot_at(slot);
+    if (entry.live() && std::find(entry.record.se_ids.begin(), entry.record.se_ids.end(),
+                                  se_id) != entry.record.se_ids.end()) {
       slots.push_back(slot);
     }
   }
@@ -119,10 +165,11 @@ std::uint32_t SessionTable::removal_owner(std::uint64_t cookie, DatapathId dpid,
                                           const of::Match& match) const {
   const auto slot = static_cast<std::uint32_t>(cookie);
   if (slot >= slots_) return kNoSlot;
-  const std::optional<FlowRecord>& live = slot_at(slot).record;
-  if (!live || live->cookie != cookie || live->installed.empty() ||
-      live->installed.front().dpid != dpid ||
-      entry_match(*live, live->installed.front()) != match) {
+  const Slot& entry = slot_at(slot);
+  const FlowRecord& live = entry.record;
+  if (!entry.live() || live.cookie != cookie || live.installed.empty() ||
+      live.installed.front().dpid != dpid ||
+      entry_match(live, live.installed.front()) != match) {
     return kNoSlot;
   }
   return slot;

@@ -5,12 +5,11 @@
 // (setup, teardown and blocking FlowMods stay with it).
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/flat_hash.h"
@@ -77,66 +76,110 @@ struct FlowRecord {
   of::ActionList ingress_actions;
 };
 
-/// Slots of one host's sessions. The common case (a host with a few active
-/// flows) stays inline with no per-flow node; a hot host (a server
-/// terminating thousands of flows) spills into an open-addressing set, so
-/// add/remove stay O(1) instead of degrading to a linear scan per flow.
-class SlotSet {
+/// Open-addressing index from a key's hash to the session slot filed under
+/// the key. It stores no key: an entry is the low 32 bits of the key's hash
+/// and the slot, 8 bytes. A probe that meets an equal hash asks the caller's
+/// `derives(slot)` whether that slot's session derives the key sought, so a
+/// lookup of an absent key never leaves the index and a hit reads only the
+/// session it returns. Robin-hood probing with backward-shift delete; an
+/// entry's probe distance follows from its hash, so none is stored.
+///
+/// A key is filed at most once: assign() over a key already filed replaces
+/// its slot, as insert_or_assign does, and erase() unfiles the key whichever
+/// slot holds it. Every filed slot must stay answerable by `derives` until
+/// its key is erased.
+class SlotIndex {
  public:
-  /// Inserts `slot` (a no-op when it is present).
-  void insert(std::uint32_t slot) {
-    if (large_ == nullptr) {
-      if (std::find(small_.begin(), small_.end(), slot) != small_.end()) return;
-      if (small_.size() < kSpillThreshold) {
-        small_.push_back(slot);
-        return;
-      }
-      spill();
-    }
-    large_->insert_or_assign(slot, 0);
+  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+
+  std::size_t size() const { return size_; }
+  std::size_t memory_bytes() const { return entries_.capacity() * sizeof(Entry); }
+
+  /// The slot filed under the key, or kNoSlot.
+  template <typename Derives>
+  std::uint32_t find(std::uint32_t hash, Derives&& derives) const {
+    const std::size_t at = locate(hash, derives);
+    return at == kAbsent ? kNoSlot : entries_[at].slot;
   }
 
-  /// Removes `slot`; returns false when it was not present. A spilled set
-  /// never shrinks back inline — a host that was hot tends to stay hot.
-  bool erase(std::uint32_t slot) {
-    if (large_) return large_->erase(slot);
-    for (std::size_t i = 0; i < small_.size(); ++i) {
-      if (small_[i] == slot) {
-        small_[i] = small_.back();
-        small_.pop_back();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  std::size_t size() const { return large_ ? large_->size() : small_.size(); }
-  bool empty() const { return size() == 0; }
-
-  template <typename Fn>
-  void for_each(Fn&& fn) const {
-    if (large_) {
-      large_->for_each([&fn](std::uint32_t slot, char) { fn(slot); });
+  /// Files `slot` under the key, replacing the slot it was filed under.
+  template <typename Derives>
+  void assign(std::uint32_t hash, std::uint32_t slot, Derives&& derives) {
+    if (const std::size_t at = locate(hash, derives); at != kAbsent) {
+      entries_[at].slot = slot;
       return;
     }
-    for (std::uint32_t slot : small_) fn(slot);
+    if ((size_ + 1) * 4 > entries_.size() * 3) grow();
+    insert(Entry{hash, slot});
+    ++size_;
+  }
+
+  /// Unfiles the key; false when it was not filed.
+  template <typename Derives>
+  bool erase(std::uint32_t hash, Derives&& derives) {
+    std::size_t at = locate(hash, derives);
+    if (at == kAbsent) return false;
+    for (std::size_t next = (at + 1) & mask_;
+         entries_[next].slot != kNoSlot && distance(next) != 0; next = (next + 1) & mask_) {
+      entries_[at] = entries_[next];
+      at = next;
+    }
+    entries_[at].slot = kNoSlot;
+    --size_;
+    return true;
   }
 
  private:
-  static constexpr std::size_t kInline = 4;
-  static constexpr std::size_t kSpillThreshold = 16;
+  struct Entry {
+    std::uint32_t hash = 0;
+    std::uint32_t slot = kNoSlot;  // kNoSlot = empty
+  };
+  static constexpr std::size_t kAbsent = ~std::size_t{0};
 
-  void spill() {
-    large_ = std::make_unique<LargeSet>();
-    large_->reserve(2 * kSpillThreshold);
-    for (std::uint32_t slot : small_) large_->insert_or_assign(slot, 0);
-    small_ = SmallVector<std::uint32_t, kInline>();
+  std::size_t distance(std::size_t at) const { return (at - entries_[at].hash) & mask_; }
+
+  template <typename Derives>
+  std::size_t locate(std::uint32_t hash, Derives& derives) const {
+    if (size_ == 0) return kAbsent;
+    std::size_t at = hash & mask_;
+    // Robin-hood invariant: the key sought would have displaced any entry
+    // closer to its home than the probe has travelled, so the scan stops
+    // at the first such entry.
+    for (std::size_t travelled = 0;; ++travelled, at = (at + 1) & mask_) {
+      const Entry& entry = entries_[at];
+      if (entry.slot == kNoSlot || distance(at) < travelled) return kAbsent;
+      if (entry.hash == hash && derives(entry.slot)) return at;
+    }
   }
 
-  using LargeSet = FlatHashMap<std::uint32_t, char>;
+  /// Places an entry whose key is not filed; the table has room.
+  void insert(Entry carry) {
+    std::size_t at = carry.hash & mask_;
+    for (std::size_t travelled = 0;; ++travelled, at = (at + 1) & mask_) {
+      Entry& entry = entries_[at];
+      if (entry.slot == kNoSlot) {
+        entry = carry;
+        return;
+      }
+      if (const std::size_t dist = distance(at); dist < travelled) {
+        std::swap(entry, carry);  // rob the richer entry, carry it on
+        travelled = dist;
+      }
+    }
+  }
 
-  SmallVector<std::uint32_t, kInline> small_;
-  std::unique_ptr<LargeSet> large_;
+  void grow() {
+    std::vector<Entry> old = std::move(entries_);
+    entries_.assign(old.empty() ? 16 : old.size() * 2, Entry{});
+    mask_ = entries_.size() - 1;
+    for (const Entry& entry : old) {
+      if (entry.slot != kNoSlot) insert(entry);
+    }
+  }
+
+  std::vector<Entry> entries_;  // 0 or a power of two
+  std::size_t mask_ = 0;
+  std::size_t size_ = 0;
 };
 
 /// The session slab and its indexes.
@@ -148,9 +191,14 @@ class SlotSet {
 /// only when the cookie is the slot's current one and its (dpid, match) is
 /// the session's ingress entry: a late removal for a freed or reused slot,
 /// or one for an entry another controller installed, names none.
+///
+/// The key indexes are SlotIndexes that verify a hash match against the
+/// slab, and each endpoint MAC heads an intrusive list of its sessions
+/// threaded through the slots, so a setup and its FlowRemoved touch little
+/// beyond the session's own slot.
 class SessionTable {
  public:
-  static constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kNoSlot = SlotIndex::kNoSlot;
 
   /// Session-aware reverse key (ICMP echo request <-> reply, §III.C.3).
   static pkt::FlowKey session_reverse(const pkt::FlowKey& key);
@@ -161,14 +209,11 @@ class SessionTable {
   /// Live sessions.
   std::size_t size() const { return sessions_.size(); }
   /// Hosts with at least one live session.
-  std::size_t host_count() const { return flows_by_host_.size(); }
+  std::size_t host_count() const { return host_heads_.size(); }
 
-  FlowRecord& at(std::uint32_t slot) { return *slot_at(slot).record; }
+  FlowRecord& at(std::uint32_t slot) { return slot_at(slot).record; }
   /// The live session whose forward key is `key`, or nullptr.
-  FlowRecord* find(const pkt::FlowKey& key) {
-    const std::uint32_t* slot = sessions_.find(key);
-    return slot == nullptr ? nullptr : &at(*slot);
-  }
+  FlowRecord* find(const pkt::FlowKey& key);
   const FlowRecord* find(const pkt::FlowKey& key) const {
     return const_cast<SessionTable*>(this)->find(key);
   }
@@ -186,7 +231,8 @@ class SessionTable {
   /// left as it is).
   FlowRecord* resolve_reported(pkt::FlowKey& key);
 
-  /// Slots of the live sessions with `mac` as either endpoint.
+  /// Slots of the live sessions with `mac` as either endpoint, newest
+  /// first.
   std::vector<std::uint32_t> slots_of_host(const MacAddress& mac) const;
   /// Slots of the live sessions steered through `se_id`, in slot order.
   std::vector<std::uint32_t> slots_through_se(std::uint64_t se_id) const;
@@ -195,45 +241,106 @@ class SessionTable {
   std::uint32_t removal_owner(std::uint64_t cookie, DatapathId dpid,
                               const of::Match& match) const;
 
-  /// Bytes of the slab (live and free slots) and its three key indexes.
+  /// Bytes of the slab (live and free slots, host-list links included),
+  /// its three key indexes and the host heads. A record's spilled vectors
+  /// (chains of two or more SEs) are not counted.
   std::size_t memory_bytes() const {
-    return chunks_.size() * kChunk * sizeof(Slot) + chunks_.capacity() * sizeof(chunks_[0]) +
-           sessions_.memory_bytes() + steered_.memory_bytes() + icmp_reverse_.memory_bytes();
+    return chunks_.size() * sizeof(Chunk) + chunks_.capacity() * sizeof(chunks_[0]) +
+           sessions_.memory_bytes() + steered_.memory_bytes() + icmp_reverse_.memory_bytes() +
+           host_heads_.memory_bytes();
   }
 
  private:
   /// Small chunks: a controller with a handful of flows holds one ~22 KB
   /// chunk, and growth never copies or reallocates records.
   static constexpr std::uint32_t kChunk = 64;
+  static constexpr std::uint32_t kLive = 0xFFFFFFFEu;
+  /// A host-list link names a slot and the side of its key the host is:
+  /// (slot << 1) | side, side 0 for dl_src and 1 for dl_dst. Slots stay
+  /// below 2^31 (that many would take ~750 GB of slab).
+  static constexpr std::uint32_t kNoLink = 0xFFFFFFFFu;
 
   struct Slot {
-    std::optional<FlowRecord> record;  // engaged while the session is live
-    std::uint32_t generation = 1;      // never 0: cookie 0 is "not ours"
-    std::uint32_t next_free = kNoSlot;
+    FlowRecord record;                  // the session while live(), else empty
+    std::uint32_t generation = 1;       // never 0: cookie 0 is "not ours"
+    std::uint32_t next_free = kNoSlot;  // kLive while the slot holds a session
+
+    bool live() const { return next_free == kLive; }
   };
   // The slot is the per-live-flow cost of the controller; DESIGN.md §9
   // gives its layout. Growing it is a memory regression at campus scale.
   static_assert(sizeof(Slot) <= 352);
+  /// Neighbours of one session in one host's list, as links.
+  struct HostLink {
+    std::uint32_t prev = kNoLink;
+    std::uint32_t next = kNoLink;
+  };
+  /// The host links sit apart from the records, two per slot (sides 0 and
+  /// 1) and indexed by link, so that list updates touch 16 B per session
+  /// rather than a line of a ~350 B record. A session whose two endpoints
+  /// are one host is listed on side 0 only.
+  struct Chunk {
+    Slot slots[kChunk];
+    HostLink links[2 * kChunk];
+  };
+  // With its links a session still costs at most 352 B of slab.
+  static_assert(sizeof(Chunk) <= 352 * kChunk);
 
-  Slot& slot_at(std::uint32_t slot) { return chunks_[slot / kChunk][slot % kChunk]; }
-  const Slot& slot_at(std::uint32_t slot) const { return chunks_[slot / kChunk][slot % kChunk]; }
+  static std::uint32_t hash32(const pkt::FlowKey& key) {
+    return static_cast<std::uint32_t>(key.hash());
+  }
 
-  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  Slot& slot_at(std::uint32_t slot) { return chunks_[slot / kChunk]->slots[slot % kChunk]; }
+  const Slot& slot_at(std::uint32_t slot) const {
+    return chunks_[slot / kChunk]->slots[slot % kChunk];
+  }
+  HostLink& link_at(std::uint32_t link) {
+    return chunks_[link / (2 * kChunk)]->links[link % (2 * kChunk)];
+  }
+  const HostLink& link_at(std::uint32_t link) const {
+    return chunks_[link / (2 * kChunk)]->links[link % (2 * kChunk)];
+  }
+
+  /// `derives` predicates of the three indexes: whether a slot's session
+  /// files `key` as its forward key, as a steered variant, or as its ICMP
+  /// reverse key.
+  auto forward_of(const pkt::FlowKey& key) const {
+    return [this, &key](std::uint32_t slot) { return slot_at(slot).record.key == key; };
+  }
+  auto steered_of(const pkt::FlowKey& key) const {
+    return [this, &key](std::uint32_t slot) { return steers(slot_at(slot).record, key); };
+  }
+  auto icmp_reverse_of(const pkt::FlowKey& key) const {
+    return [this, &key](std::uint32_t slot) {
+      return session_reverse(slot_at(slot).record.key) == key;
+    };
+  }
+  static bool steers(const FlowRecord& record, const pkt::FlowKey& key);
+
+  void link_host(std::uint32_t link, const MacAddress& host);
+  void unlink_host(std::uint32_t link, const MacAddress& host);
+
+  std::vector<std::unique_ptr<Chunk>> chunks_;
   std::uint32_t slots_ = 0;  // slots ever allocated
   std::uint32_t free_ = kNoSlot;
   /// Forward 9-tuple -> slot of its live session.
-  FlatHashMap<pkt::FlowKey, std::uint32_t> sessions_;
+  SlotIndex sessions_;
   /// Steered 9-tuple (dl_dst rewritten to an SE MAC, either direction) ->
   /// slot, so SE event reports map back to the user flow.
-  FlatHashMap<pkt::FlowKey, std::uint32_t> steered_;
+  SlotIndex steered_;
   /// ICMP sessions' reverse key -> slot. Other reverse keys need no entry:
   /// session_reverse is an involution there, so sessions_ finds them. The
   /// ICMP one is not: it drops the code and maps every type but the echo
   /// request onto the request, so several sessions can share a reverse key.
-  FlatHashMap<pkt::FlowKey, std::uint32_t> icmp_reverse_;
-  /// Endpoint MAC -> slots of live sessions touching it; a host's entry
-  /// goes with its last session.
-  FlatHashMap<std::uint64_t, SlotSet> flows_by_host_;
+  SlotIndex icmp_reverse_;
+  /// Endpoint MAC -> first link of its host list; a host's entry goes with
+  /// its last session.
+  FlatHashMap<std::uint64_t, std::uint32_t> host_heads_;
 };
+
+inline FlowRecord* SessionTable::find(const pkt::FlowKey& key) {
+  const std::uint32_t slot = sessions_.find(hash32(key), forward_of(key));
+  return slot == kNoSlot ? nullptr : &at(slot);
+}
 
 }  // namespace livesec::ctrl

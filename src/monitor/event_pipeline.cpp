@@ -324,7 +324,8 @@ std::size_t EventPipeline::memory_bytes() const {
       rollups_.bucket_count() * sizeof(RollupStore::Bucket) +
       (rollups_.subjects().entries() + rollups_.protocols().entries()) * 64;
   return columns_.memory_bytes() + staging_bytes + rollup_bytes +
-         summaries_.size() * sizeof(SegmentSummary);
+         summaries_.size() * sizeof(SegmentSummary) +
+         restore_buffer_.capacity() * sizeof(NetworkEvent);
 }
 
 // --- persistence -------------------------------------------------------------
@@ -409,17 +410,22 @@ void EventPipeline::ingest_restored(NetworkEvent&& event) {
 }
 
 bool EventPipeline::restore_rows(std::span<const std::uint8_t> blob) {
-  // Validate the whole batch first, so a corrupt one ingests no row; then
-  // decode it again straight into staging, with no batch-sized buffer.
-  if (!for_each_row(blob, [](NetworkEvent&&) {})) return false;
-  for_each_row(blob, [this](NetworkEvent&& row) {
-    if (row.id < next_id_) {
-      ++counters_.restore_skipped;  // snapshot/log overlap: already applied
-      return;
+  // Decode the whole batch once, into a buffer kept across batches, and
+  // ingest it only when every row is valid: a corrupt batch ingests no row.
+  restore_buffer_.clear();
+  const bool valid = for_each_row(
+      blob, [this](NetworkEvent&& row) { restore_buffer_.push_back(std::move(row)); });
+  if (valid) {
+    for (NetworkEvent& row : restore_buffer_) {
+      if (row.id < next_id_) {
+        ++counters_.restore_skipped;  // snapshot/log overlap: already applied
+        continue;
+      }
+      ingest_restored(std::move(row));
     }
-    ingest_restored(std::move(row));
-  });
-  return true;
+  }
+  restore_buffer_.clear();
+  return valid;
 }
 
 std::vector<std::uint8_t> EventPipeline::serialize() const {

@@ -208,6 +208,8 @@ class EventPipeline {
   /// Rows ingested but not yet dictionary-encoded; always newer than every
   /// row in columns_. Queries scan it linearly (bounded by staging_rows).
   std::vector<NetworkEvent> staging_;
+  /// restore_rows' decoded batch; empty between calls, its capacity kept.
+  std::vector<NetworkEvent> restore_buffer_;
   ColumnStore columns_;
   std::deque<SegmentSummary> summaries_;
   RollupStore rollups_;

@@ -1,13 +1,16 @@
 // The controller's state components on their own: the session table's
-// host and SE queries against a brute-force scan under seeded open/close
-// churn, and its FlowRemoved ownership test across slot reuse; the decision
+// verified slot index against a multimap, its key, host and SE queries
+// against a reference model under seeded open/close churn, and its
+// FlowRemoved ownership test across slot reuse; the decision
 // cache's stamp-driven flushes, its capacity flush and its offload memo; and
 // LLDP discovery's uplink bookkeeping and probe parsing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <map>
 #include <random>
+#include <set>
 #include <vector>
 
 #include "controller/controller.h"
@@ -43,23 +46,167 @@ pkt::FlowKey udp_key(std::uint64_t src, std::uint64_t dst, std::uint16_t tp_src)
   return key;
 }
 
+// --- SlotIndex ---------------------------------------------------------------------
+
+// Drives a SlotIndex whose keys are u64s and whose slots each file one key,
+// against a std::multimap from hash to (key, slot). `hash_of` picks the
+// 32-bit hash, so tests can force collisions and wrap-around.
+template <typename HashOf>
+void check_slot_index_against_multimap(HashOf hash_of, std::uint64_t keys, int ops,
+                                       std::uint64_t seed) {
+  ctrl::SlotIndex index;
+  std::multimap<std::uint32_t, std::pair<std::uint64_t, std::uint32_t>> model;
+  std::vector<std::uint64_t> key_of_slot;  // slots are never reused
+  std::mt19937_64 rng(seed);
+  const auto model_find = [&model](std::uint32_t hash, std::uint64_t key) {
+    auto [it, end] = model.equal_range(hash);
+    for (; it != end; ++it) {
+      if (it->second.first == key) return it;
+    }
+    return model.end();
+  };
+  for (int op = 0; op < ops; ++op) {
+    const std::uint64_t key = rng() % keys;
+    const std::uint32_t hash = hash_of(key);
+    const auto derives = [&key_of_slot, key](std::uint32_t slot) {
+      return key_of_slot[slot] == key;
+    };
+    if (rng() % 3 != 0) {
+      const auto slot = static_cast<std::uint32_t>(key_of_slot.size());
+      key_of_slot.push_back(key);
+      index.assign(hash, slot, derives);
+      if (auto it = model_find(hash, key); it != model.end()) {
+        it->second.second = slot;  // assign over an existing key wins
+      } else {
+        model.emplace(hash, std::make_pair(key, slot));
+      }
+    } else {
+      const auto it = model_find(hash, key);
+      ASSERT_EQ(index.erase(hash, derives), it != model.end()) << "op " << op;
+      if (it != model.end()) model.erase(it);
+    }
+    ASSERT_EQ(index.size(), model.size()) << "op " << op;
+    for (std::uint64_t probe = 0; probe < keys; ++probe) {
+      const std::uint32_t probe_hash = hash_of(probe);
+      const auto it = model_find(probe_hash, probe);
+      const std::uint32_t expected = it == model.end() ? ctrl::SlotIndex::kNoSlot : it->second.second;
+      ASSERT_EQ(index.find(probe_hash,
+                           [&key_of_slot, probe](std::uint32_t slot) {
+                             return key_of_slot[slot] == probe;
+                           }),
+                expected)
+          << "op " << op << " key " << probe;
+    }
+  }
+}
+
+TEST(SlotIndex, AllEqualHashesMatchAMultimapReference) {
+  check_slot_index_against_multimap([](std::uint64_t) { return 0x5EEDu; }, 24, 3000, 1001);
+}
+
+TEST(SlotIndex, DeletesThatShiftAcrossTheTableEndMatchAMultimapReference) {
+  // Every home is one of the last two slots or the first two, whatever the
+  // capacity, so runs wrap the end and deletes shift entries back across it.
+  check_slot_index_against_multimap(
+      [](std::uint64_t key) {
+        static constexpr std::uint32_t kHomes[] = {0xFFFFFFFFu, 0xFFFFFFFEu, 0u, 1u};
+        return kHomes[key % 4];
+      },
+      40, 4000, 1002);
+}
+
+TEST(SlotIndex, SpreadHashesMatchAMultimapReference) {
+  check_slot_index_against_multimap(
+      [](std::uint64_t key) { return static_cast<std::uint32_t>(splitmix64(key)); }, 300, 4000,
+      1003);
+}
+
+TEST(SlotIndex, AssignOverAnExistingKeyReplacesItsSlot) {
+  ctrl::SlotIndex index;
+  std::vector<std::uint64_t> key_of_slot = {7, 7, 9};
+  const auto derives = [&key_of_slot](std::uint64_t key) {
+    return [&key_of_slot, key](std::uint32_t slot) { return key_of_slot[slot] == key; };
+  };
+  index.assign(42, 0, derives(7));
+  index.assign(42, 2, derives(9));  // an equal hash, another key
+  index.assign(42, 1, derives(7));  // key 7 again: slot 1 wins
+  EXPECT_EQ(index.size(), 2u);
+  EXPECT_EQ(index.find(42, derives(7)), 1u);
+  EXPECT_EQ(index.find(42, derives(9)), 2u);
+  // Erasing key 7 unfiles it whichever slot holds it.
+  EXPECT_TRUE(index.erase(42, derives(7)));
+  EXPECT_FALSE(index.erase(42, derives(7)));
+  EXPECT_EQ(index.find(42, derives(7)), ctrl::SlotIndex::kNoSlot);
+  EXPECT_EQ(index.find(42, derives(9)), 2u);
+  EXPECT_EQ(index.size(), 1u);
+}
+
 // --- SessionTable ------------------------------------------------------------------
+
+pkt::FlowKey icmp_key(std::uint64_t src, std::uint64_t dst, std::uint16_t type,
+                      std::uint16_t code) {
+  pkt::FlowKey key = udp_key(src, dst, type);
+  key.nw_proto = static_cast<std::uint8_t>(pkt::IpProto::kIcmp);
+  key.tp_dst = code;
+  return key;
+}
 
 TEST(SessionTable, SeededChurnQueriesMatchABruteForceScan) {
   constexpr std::uint64_t kHosts = 12;
+  constexpr std::uint64_t kHotHost = 1;  // an endpoint of about half the flows
   constexpr std::uint64_t kSes = 4;
   SessionTable table;
-  // Reference: live slot -> (key, chain).
+  // Reference: live slot -> (key, chain), plus the three key indexes as
+  // ordered maps with insert_or_assign/erase semantics.
   struct Live {
     pkt::FlowKey key;
     std::vector<std::uint64_t> se_ids;
   };
   std::map<std::uint32_t, Live> model;
+  std::map<pkt::FlowKey, std::uint32_t> forward;
+  std::map<pkt::FlowKey, std::uint32_t> steered;
+  std::map<pkt::FlowKey, std::uint32_t> icmp_reverse;
+  const auto is_icmp = [](const pkt::FlowKey& key) {
+    return key.nw_proto == static_cast<std::uint8_t>(pkt::IpProto::kIcmp);
+  };
+  const auto se_mac = [](std::uint64_t se) { return MacAddress::from_uint64(0x5E00 + se); };
+  const auto steered_keys = [&](const Live& live) {
+    std::vector<pkt::FlowKey> keys;
+    for (std::uint64_t se : live.se_ids) {
+      for (pkt::FlowKey k : {live.key, SessionTable::session_reverse(live.key)}) {
+        k.dl_dst = se_mac(se);
+        keys.push_back(k);
+      }
+    }
+    return keys;
+  };
+  // The reference fold of a reported key: the slot and the key it leaves.
+  const auto model_resolve = [&](pkt::FlowKey& key) {
+    if (auto it = steered.find(key); it != steered.end()) key = model.at(it->second).key;
+    std::uint32_t owner = SessionTable::kNoSlot;
+    if (is_icmp(key)) {
+      if (auto it = icmp_reverse.find(key); it != icmp_reverse.end()) owner = it->second;
+    } else if (auto it = forward.find(key.reversed()); it != forward.end()) {
+      owner = it->second;
+    }
+    if (owner == SessionTable::kNoSlot) {
+      auto it = forward.find(key);
+      return it == forward.end() ? SessionTable::kNoSlot : it->second;
+    }
+    key = model.at(owner).key;
+    return owner;
+  };
   std::mt19937_64 rng(1001);
   std::uint16_t next_port = 1;
 
-  const auto check = [&]() {
+  const auto check_hosts = [&]() {
     ASSERT_EQ(table.size(), model.size());
+    std::set<MacAddress> hosts;
+    for (const auto& [slot, live] : model) {
+      hosts.insert(live.key.dl_src);
+      hosts.insert(live.key.dl_dst);
+    }
+    ASSERT_EQ(table.host_count(), hosts.size());
     for (std::uint64_t h = 1; h <= kHosts; ++h) {
       const MacAddress mac = MacAddress::from_uint64(h);
       std::vector<std::uint32_t> expected;
@@ -80,45 +227,98 @@ TEST(SessionTable, SeededChurnQueriesMatchABruteForceScan) {
       ASSERT_EQ(table.slots_through_se(se), expected) << "se " << se;
     }
   };
+  const auto check_keys = [&]() {
+    std::vector<pkt::FlowKey> probes;
+    for (const auto& [slot, live] : model) {
+      const FlowRecord* found = table.find(live.key);
+      ASSERT_NE(found, nullptr);
+      ASSERT_EQ(found, &table.at(forward.at(live.key)));
+      probes.push_back(live.key);
+      probes.push_back(SessionTable::session_reverse(live.key));
+      for (const pkt::FlowKey& k : steered_keys(live)) probes.push_back(k);
+      pkt::FlowKey absent = live.key;
+      absent.dl_dst = se_mac(kSes + 1);
+      probes.push_back(absent);
+      ASSERT_EQ(table.find(absent), nullptr);
+    }
+    for (const pkt::FlowKey& probe : probes) {
+      pkt::FlowKey got_key = probe;
+      pkt::FlowKey expected_key = probe;
+      const std::uint32_t expected = model_resolve(expected_key);
+      const FlowRecord* got = table.resolve_reported(got_key);
+      if (expected == SessionTable::kNoSlot) {
+        ASSERT_EQ(got, nullptr) << probe.to_string();
+      } else {
+        ASSERT_EQ(got, &table.at(expected)) << probe.to_string();
+      }
+      ASSERT_EQ(got_key, expected_key) << probe.to_string();
+    }
+  };
 
   constexpr int kOps = 12000;
   for (int op = 0; op < kOps; ++op) {
-    if (model.empty() || rng() % 5 < 3) {  // the table grows: hot hosts spill
+    if (model.empty() || rng() % 5 < 3) {  // the table grows
       const std::uint64_t src = 1 + rng() % kHosts;
-      const std::uint64_t dst = 1 + rng() % kHosts;  // may equal src
-      const pkt::FlowKey key = udp_key(src, dst, next_port++);
+      const std::uint64_t dst = rng() % 2 == 0 ? kHotHost : 1 + rng() % kHosts;  // may equal src
+      // One flow in four is ICMP: type and code are drawn so that several
+      // live sessions share a reverse key (every type but 8 maps onto 8).
+      const pkt::FlowKey key =
+          rng() % 4 == 0
+              ? icmp_key(src, dst, std::array<std::uint16_t, 4>{0, 3, 8, 11}[rng() % 4],
+                         static_cast<std::uint16_t>(rng() % 2))
+              : udp_key(src, dst, next_port++);
+      if (forward.contains(key)) continue;
       // Steered through up to three SEs (repeats allowed).
       std::vector<std::uint64_t> chain(rng() % 4);
       std::vector<MacAddress> macs;
       for (std::uint64_t& se : chain) {
         se = 1 + rng() % kSes;
-        macs.push_back(MacAddress::from_uint64(0x5E00 + se));
+        macs.push_back(se_mac(se));
       }
       const std::uint32_t slot = table.open(key, macs);
       for (std::uint64_t se : chain) table.at(slot).se_ids.push_back(se);
       ASSERT_FALSE(model.contains(slot));
       model[slot] = Live{key, chain};
-    } else {
+      forward.insert_or_assign(key, slot);
+      if (is_icmp(key)) icmp_reverse.insert_or_assign(SessionTable::session_reverse(key), slot);
+      for (const pkt::FlowKey& k : steered_keys(model[slot])) steered.insert_or_assign(k, slot);
+    } else {  // random-order close
       auto it = model.begin();
       std::advance(it, static_cast<long>(rng() % model.size()));
       table.close(it->first);
+      forward.erase(it->second.key);
+      if (is_icmp(it->second.key)) {
+        icmp_reverse.erase(SessionTable::session_reverse(it->second.key));
+      }
+      for (const pkt::FlowKey& k : steered_keys(it->second)) steered.erase(k);
       model.erase(it);
     }
-    if (op % 97 == 0) check();
+    if (op % 97 == 0) check_hosts();
+    if (op % 997 == 0) check_keys();
   }
-  check();
-  // Steered reports, forward and reverse, still resolve after the churn.
+  check_hosts();
+  check_keys();
+  // Steered reports, forward and reverse, resolve to their session when no
+  // other session shares the key.
   for (const auto& [slot, live] : model) {
-    if (live.se_ids.empty()) continue;
-    pkt::FlowKey steered = live.key;
-    steered.dl_dst = MacAddress::from_uint64(0x5E00 + live.se_ids.front());
-    ASSERT_EQ(table.resolve_reported(steered), &table.at(slot));
-    EXPECT_EQ(steered, live.key);
+    if (live.se_ids.empty() || is_icmp(live.key)) continue;
+    pkt::FlowKey steered_forward = live.key;
+    steered_forward.dl_dst = se_mac(live.se_ids.front());
+    ASSERT_EQ(table.resolve_reported(steered_forward), &table.at(slot));
+    EXPECT_EQ(steered_forward, live.key);
     pkt::FlowKey steered_reverse = SessionTable::session_reverse(live.key);
-    steered_reverse.dl_dst = MacAddress::from_uint64(0x5E00 + live.se_ids.back());
+    steered_reverse.dl_dst = se_mac(live.se_ids.back());
     ASSERT_EQ(table.resolve_reported(steered_reverse), &table.at(slot));
     EXPECT_EQ(steered_reverse, live.key);
   }
+  // Closing every session empties the host lists.
+  while (!model.empty()) {
+    table.close(model.begin()->first);
+    model.erase(model.begin());
+  }
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.host_count(), 0u);
+  EXPECT_TRUE(table.slots_of_host(MacAddress::from_uint64(kHotHost)).empty());
 }
 
 TEST(SessionTable, ReusedSlotRejectsTheOldCookie) {

@@ -747,6 +747,39 @@ TEST(EventPipeline, RestoreRejectsCorruptBlobs) {
   EXPECT_EQ(pipeline.size(), 0u);
 }
 
+// A batch whose header is valid but whose rows are not ingests no row, not
+// even the valid rows before the bad one.
+TEST(EventPipeline, RestoreOfABatchWithAValidHeaderAndABadRowIngestsNothing) {
+  EventPipeline source;
+  for (SimTime t = 1; t <= 5; ++t) source.append(make_event(t, EventType::kFlowStart));
+  std::vector<NetworkEvent> rows;
+  source.replay(0, 100, [&rows](const NetworkEvent& e) { rows.push_back(e); });
+  const std::vector<std::uint8_t> blob = EventPipeline::encode_rows(rows);
+  ASSERT_TRUE(EventPipeline().restore_rows(blob));
+
+  // The last row loses its final byte.
+  const std::vector<std::uint8_t> truncated(blob.begin(), blob.end() - 1);
+  ASSERT_TRUE(EventPipeline::peek_rows(truncated).has_value());
+  EventPipeline first;
+  EXPECT_FALSE(first.restore_rows(truncated));
+  EXPECT_EQ(first.size(), 0u);
+  EXPECT_EQ(first.counters().restored_rows, 0u);
+
+  // The header's id range (magic u32, version u8, count u32, id_min u64,
+  // id_max u64, big-endian) claims one id more than the rows carry.
+  std::vector<std::uint8_t> wrong_range = blob;
+  ++wrong_range[4 + 1 + 4 + 8 + 7];
+  ASSERT_TRUE(EventPipeline::peek_rows(wrong_range).has_value());
+  EventPipeline second;
+  EXPECT_FALSE(second.restore_rows(wrong_range));
+  EXPECT_EQ(second.size(), 0u);
+  EXPECT_EQ(second.counters().restored_rows, 0u);
+
+  // The pipeline that refused both still restores the intact batch.
+  EXPECT_TRUE(second.restore_rows(blob));
+  EXPECT_EQ(second.size(), rows.size());
+}
+
 TEST(EventPipeline, IngestObserverSeesLiveRowsButNotRestores) {
   EventPipeline pipeline;
   std::vector<std::uint64_t> observed;
